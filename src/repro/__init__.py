@@ -14,16 +14,6 @@ The package is organised as:
   benchmark harnesses for Table 2, Figure 11, and the Section 7 case studies.
 """
 
-from repro.circuit import Gate, QCircuit
-from repro.verify import (
-    AnalysisPass,
-    GeneralPass,
-    RoutingPass,
-    VerificationResult,
-    verify_pass,
-    verify_passes,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -37,3 +27,23 @@ __all__ = [
     "verify_pass",
     "verify_passes",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the re-exports load on first use, so that importing one
+    # submodule does not execute the whole package.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.circuit import Gate, QCircuit
+    from repro.verify import (
+        AnalysisPass,
+        GeneralPass,
+        RoutingPass,
+        VerificationResult,
+        verify_pass,
+        verify_passes,
+    )
+
+    exports = locals()
+    globals().update((key, exports[key]) for key in __all__ if key in exports)
+    return exports[name]

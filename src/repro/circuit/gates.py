@@ -18,12 +18,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.gate import Gate
 from repro.errors import CircuitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -31,92 +32,100 @@ SQRT2_INV = 1.0 / math.sqrt(2.0)
 # --------------------------------------------------------------------------- #
 # Matrix constructors
 # --------------------------------------------------------------------------- #
+# numpy is imported when a matrix is first built, not with the gate library:
+# symbolic verification never needs a matrix.
+def _matrix(rows) -> np.ndarray:
+    import numpy as np
+
+    return np.array(rows, dtype=complex)
+
+
+def _eye(dim: int) -> np.ndarray:
+    import numpy as np
+
+    return np.eye(dim, dtype=complex)
+
+
 def _mat_id(_params: Sequence[float]) -> np.ndarray:
-    return np.eye(2, dtype=complex)
+    return _eye(2)
 
 
 def _mat_x(_params):
-    return np.array([[0, 1], [1, 0]], dtype=complex)
+    return _matrix([[0, 1], [1, 0]])
 
 
 def _mat_y(_params):
-    return np.array([[0, -1j], [1j, 0]], dtype=complex)
+    return _matrix([[0, -1j], [1j, 0]])
 
 
 def _mat_z(_params):
-    return np.array([[1, 0], [0, -1]], dtype=complex)
+    return _matrix([[1, 0], [0, -1]])
 
 
 def _mat_h(_params):
-    return SQRT2_INV * np.array([[1, 1], [1, -1]], dtype=complex)
+    return SQRT2_INV * _matrix([[1, 1], [1, -1]])
 
 
 def _mat_s(_params):
-    return np.array([[1, 0], [0, 1j]], dtype=complex)
+    return _matrix([[1, 0], [0, 1j]])
 
 
 def _mat_sdg(_params):
-    return np.array([[1, 0], [0, -1j]], dtype=complex)
+    return _matrix([[1, 0], [0, -1j]])
 
 
 def _mat_t(_params):
-    return np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex)
+    return _matrix([[1, 0], [0, cmath.exp(1j * math.pi / 4)]])
 
 
 def _mat_tdg(_params):
-    return np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex)
+    return _matrix([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]])
 
 
 def _mat_sx(_params):
-    return 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
+    return 0.5 * _matrix([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 
 
 def _mat_sxdg(_params):
-    return 0.5 * np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]], dtype=complex)
+    return 0.5 * _matrix([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]])
 
 
 def _mat_rx(params):
     (theta,) = params
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return _matrix([[c, -1j * s], [-1j * s, c]])
 
 
 def _mat_ry(params):
     (theta,) = params
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return _matrix([[c, -s], [s, c]])
 
 
 def _mat_rz(params):
     (phi,) = params
-    return np.array(
-        [[cmath.exp(-1j * phi / 2), 0], [0, cmath.exp(1j * phi / 2)]], dtype=complex
-    )
+    return _matrix([[cmath.exp(-1j * phi / 2), 0], [0, cmath.exp(1j * phi / 2)]])
 
 
 def _mat_u1(params):
     (lam,) = params
-    return np.array([[1, 0], [0, cmath.exp(1j * lam)]], dtype=complex)
+    return _matrix([[1, 0], [0, cmath.exp(1j * lam)]])
 
 
 def _mat_u2(params):
     phi, lam = params
-    return SQRT2_INV * np.array(
-        [[1, -cmath.exp(1j * lam)], [cmath.exp(1j * phi), cmath.exp(1j * (phi + lam))]],
-        dtype=complex,
+    return SQRT2_INV * _matrix(
+        [[1, -cmath.exp(1j * lam)], [cmath.exp(1j * phi), cmath.exp(1j * (phi + lam))]]
     )
 
 
 def _mat_u3(params):
     theta, phi, lam = params
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array(
-        [
-            [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=complex,
-    )
+    return _matrix([
+        [c, -cmath.exp(1j * lam) * s],
+        [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
+    ])
 
 
 def _two_qubit_controlled(base: np.ndarray) -> np.ndarray:
@@ -125,7 +134,7 @@ def _two_qubit_controlled(base: np.ndarray) -> np.ndarray:
     Operand order is (control, target); the returned matrix acts on the
     2-qubit space with basis |control target>.
     """
-    out = np.eye(4, dtype=complex)
+    out = _eye(4)
     out[2:, 2:] = base
     return out
 
@@ -159,27 +168,21 @@ def _mat_cu3(params):
 
 
 def _mat_swap(_params):
-    return np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
+    return _matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
 
 def _mat_iswap(_params):
-    return np.array(
-        [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
+    return _matrix([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
 
 
 def _mat_iswap_dg(_params):
-    return np.array(
-        [[1, 0, 0, 0], [0, 0, -1j, 0], [0, -1j, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
+    return _matrix([[1, 0, 0, 0], [0, 0, -1j, 0], [0, -1j, 0, 0], [0, 0, 0, 1]])
 
 
 def _mat_rxx(params):
     (theta,) = params
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    out = np.eye(4, dtype=complex) * c
+    out = _eye(4) * c
     anti = -1j * s
     out[0, 3] = anti
     out[1, 2] = anti
@@ -190,27 +193,31 @@ def _mat_rxx(params):
 
 def _mat_rzz(params):
     (theta,) = params
+    import numpy as np
+
     phase = cmath.exp(1j * theta / 2)
     return np.diag([1 / phase, phase, phase, 1 / phase]).astype(complex)
 
 
 def _mat_ecr(_params):
     """Echoed cross-resonance gate (1/sqrt(2)) (IX - XY)."""
+    import numpy as np
+
     x = _mat_x(())
     y = _mat_y(())
-    eye = np.eye(2, dtype=complex)
+    eye = _eye(2)
     return SQRT2_INV * (np.kron(eye, x) - np.kron(x, y))
 
 
 def _mat_ccx(_params):
-    out = np.eye(8, dtype=complex)
+    out = _eye(8)
     out[6, 6] = out[7, 7] = 0
     out[6, 7] = out[7, 6] = 1
     return out
 
 
 def _mat_cswap(_params):
-    out = np.eye(8, dtype=complex)
+    out = _eye(8)
     out[[5, 6], :] = out[[6, 5], :]
     return out
 
@@ -277,7 +284,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     base = spec.matrix(gate.params)
     for _ in gate.q_controls:
         dim = base.shape[0]
-        controlled = np.eye(2 * dim, dtype=complex)
+        controlled = _eye(2 * dim)
         controlled[dim:, dim:] = base
         base = controlled
     return base

@@ -80,20 +80,29 @@ from __future__ import annotations
 
 import argparse
 import os
-import sqlite3
 import sys
 from typing import Dict, List, Optional, Sequence, Type
 
-from repro.bench.table2 import pass_kwargs_for
-from repro.coupling.devices import DEVICE_BUILDERS, device
-from repro.errors import ReproError
-from repro.passes import ALL_VERIFIED_PASSES, EXTENSION_PASSES, UNSUPPORTED_PASSES
-from repro.qasm import parse_qasm
 from repro.telemetry.bounds import DEFAULT_MIN_SECONDS, DEFAULT_NOISE_PCT
-from repro.verify.report import to_json, to_markdown, to_text
+
+# Every command imports what it runs inside its handler, so that a warm
+# ``repro verify`` never loads the transpiler or the benchmarks.
+
+
+def _store_errors() -> tuple:
+    """The exceptions that mean "the proof store cannot be opened".
+
+    ``sqlite3.Error`` joins once a store has loaded sqlite3; an ``except``
+    clause evaluates this when an exception arrives, so a JSONL-only run
+    never imports sqlite3.
+    """
+    sqlite3 = sys.modules.get("sqlite3")
+    return (OSError,) if sqlite3 is None else (OSError, sqlite3.Error)
 
 
 def _known_passes() -> Dict[str, Type]:
+    from repro.passes import ALL_VERIFIED_PASSES, EXTENSION_PASSES
+
     registry: Dict[str, Type] = {}
     for pass_class in list(ALL_VERIFIED_PASSES) + list(EXTENSION_PASSES):
         registry[pass_class.__name__] = pass_class
@@ -104,8 +113,6 @@ def _known_passes() -> Dict[str, Type]:
 # verify
 # --------------------------------------------------------------------------- #
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.engine import verify_passes
-
     registry = _known_passes()
     if args.all:
         selected = list(registry.values())
@@ -128,7 +135,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("--workers/--cluster are mutually exclusive with each other "
               "and with --daemon", file=sys.stderr)
         return 2
-    from repro.prover import SolverUnavailable, available_solvers
 
     tracer = None
     if args.trace is not None or args.profile:
@@ -162,7 +168,7 @@ def _record_history(args: argparse.Namespace) -> None:
     stdout is the verification report and is parsed byte-for-byte.
     """
     try:
-        from repro.engine import default_cache_dir
+        from repro.engine.cache import default_cache_dir
         from repro.engine.fingerprint import toolchain_fingerprint
         from repro.telemetry.analyze import load_trace, summarize_trace
         from repro.telemetry.history import TelemetryHistory, git_describe
@@ -191,8 +197,9 @@ def _record_history(args: argparse.Namespace) -> None:
 
 
 def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
-    from repro.engine import verify_passes
-    from repro.prover import SolverUnavailable, available_solvers
+    from repro.engine.driver import default_pass_kwargs, verify_passes
+    from repro.prover.backend import SolverUnavailable, available_solvers
+    from repro.verify.report import to_json, to_markdown, to_text
 
     try:
         if cluster_mode:
@@ -205,7 +212,7 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
                 cache_dir=args.cache_dir,
                 use_cache=not args.no_cache,
                 backend=args.backend,
-                pass_kwargs_fn=pass_kwargs_for,
+                pass_kwargs_fn=default_pass_kwargs,
                 changed_paths=args.changed,
                 shard_threshold=args.shard_threshold,
                 shard_count=args.shard_count,
@@ -220,7 +227,7 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
                 backend=args.backend,
                 jobs=jobs,
                 use_cache=not args.no_cache,
-                pass_kwargs_fn=pass_kwargs_for,
+                pass_kwargs_fn=default_pass_kwargs,
                 changed_paths=args.changed,
                 solver=args.solver,
             )
@@ -231,7 +238,7 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
                 cache_dir=args.cache_dir,
                 use_cache=not args.no_cache,
                 backend=args.backend,
-                pass_kwargs_fn=pass_kwargs_for,
+                pass_kwargs_fn=default_pass_kwargs,
                 changed_paths=args.changed,
                 solver=args.solver,
             )
@@ -240,7 +247,7 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
         installed = ", ".join(name for name, ok in available_solvers() if ok)
         print(f"available solver backends here: {installed}", file=sys.stderr)
         return 2
-    except (OSError, sqlite3.Error) as exc:
+    except _store_errors() as exc:
         print(f"cannot open proof cache: {exc}", file=sys.stderr)
         print("use --cache-dir DIR with a writable directory, or --no-cache",
               file=sys.stderr)
@@ -273,6 +280,7 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
 # watch
 # --------------------------------------------------------------------------- #
 def _cmd_watch(args: argparse.Namespace) -> int:
+    from repro.engine.driver import default_pass_kwargs
     from repro.incremental.watch import Watcher
 
     registry = _known_passes()
@@ -294,12 +302,12 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         backend=args.backend,
         jobs=args.jobs,
         use_daemon=args.daemon,
-        pass_kwargs_fn=pass_kwargs_for,
+        pass_kwargs_fn=default_pass_kwargs,
         extra_paths=args.data or (),
     )
     try:
         last = watcher.watch(interval=args.interval, cycles=args.cycles)
-    except (OSError, sqlite3.Error) as exc:
+    except _store_errors() as exc:
         print(f"cannot open proof cache: {exc}", file=sys.stderr)
         return 2
     if last is None:
@@ -314,7 +322,7 @@ def _cmd_work(args: argparse.Namespace) -> int:
     import time
 
     from repro.cluster import TransportError, read_cluster_state, run_worker
-    from repro.engine import default_cache_dir
+    from repro.engine.cache import default_cache_dir
 
     address = args.connect
     token = None
@@ -392,6 +400,9 @@ def _read_source(path: str) -> str:
 
 
 def _cmd_transpile(args: argparse.Namespace) -> int:
+    from repro.coupling.devices import DEVICE_BUILDERS, device
+    from repro.errors import ReproError
+    from repro.qasm import parse_qasm
     from repro.transpiler.presets import baseline_pipeline, verified_pipeline
 
     try:
@@ -438,7 +449,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 # serve / status / cache
 # --------------------------------------------------------------------------- #
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.engine import default_cache_dir
+    from repro.engine.cache import default_cache_dir
     from repro.service.daemon import serve
 
     cache_dir = args.cache_dir or str(default_cache_dir())
@@ -461,7 +472,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               port=args.port, jobs=args.jobs, verbose=args.verbose,
               watch_interval=watch_interval,
               ready_callback=announce)
-    except (OSError, sqlite3.Error) as exc:
+    except _store_errors() as exc:
         print(f"cannot start daemon: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -481,7 +492,7 @@ def _payload_bytes_suffix(nbytes) -> str:
 def _cmd_status(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.engine import default_cache_dir
+    from repro.engine.cache import default_cache_dir
     from repro.service.client import connect
     from repro.service.store import SqliteProofCache, sqlite_cache_path
 
@@ -568,7 +579,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.engine import default_cache_dir, open_proof_cache
+    from repro.engine.cache import default_cache_dir, open_proof_cache
 
     cache_dir = args.cache_dir or str(default_cache_dir())
     if args.cache_command == "migrate":
@@ -576,17 +587,18 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
         try:
             migrated = migrate_jsonl(cache_dir)
-        except (OSError, sqlite3.Error) as exc:
+        except _store_errors() as exc:
             print(f"cannot open proof cache: {exc}", file=sys.stderr)
             return 2
         print(f"migrated {migrated} entries from {cache_dir}/proofs.jsonl "
               f"to {cache_dir}/proofs.sqlite")
         return 0
     if args.cache_command == "gc":
+        from repro.engine.driver import default_pass_kwargs
         from repro.incremental.deps import identity_key
 
         live = {
-            identity_key(pass_class, pass_kwargs_for(pass_class))
+            identity_key(pass_class, default_pass_kwargs(pass_class))
             for pass_class in _known_passes().values()
         }
         try:
@@ -594,7 +606,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 before = len(cache.deps_snapshot())
                 removed = cache.gc_deps(live)
                 dep_bytes = cache.stats.dep_bytes_reclaimed
-        except (OSError, sqlite3.Error) as exc:
+        except _store_errors() as exc:
             print(f"cannot open proof cache: {exc}", file=sys.stderr)
             return 2
         print(f"gc'd {args.backend} dependency index at {cache_dir}: "
@@ -616,7 +628,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             reclaimed = (cache.stats.proof_bytes_reclaimed,
                          cache.stats.cert_bytes_reclaimed,
                          cache.stats.dep_bytes_reclaimed)
-    except (OSError, sqlite3.Error) as exc:
+    except _store_errors() as exc:
         print(f"cannot open proof cache: {exc}", file=sys.stderr)
         return 2
     print(f"pruned {args.backend} cache at {cache_dir}: "
@@ -722,7 +734,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
     import json as json_module
     import time as time_module
 
-    from repro.engine import default_cache_dir
+    from repro.engine.cache import default_cache_dir
     from repro.telemetry.history import TelemetryHistory, history_path
 
     directory = args.cache_dir or str(default_cache_dir())
@@ -819,7 +831,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
             print(f"pruned history at {directory}: dropped {dropped} runs, "
                   f"{remaining} kept")
             return 0
-    except (OSError, sqlite3.Error) as exc:
+    except _store_errors() as exc:
         print(f"cannot open run history: {exc}", file=sys.stderr)
         return 2
 
@@ -867,7 +879,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     from repro.cluster.status import (health_problems, read_run_status,
                                       run_status_path)
-    from repro.engine import default_cache_dir
+    from repro.engine.cache import default_cache_dir
 
     directory = args.cache_dir or str(default_cache_dir())
     if args.interval <= 0:
@@ -920,7 +932,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 # stats / dash
 # --------------------------------------------------------------------------- #
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.engine import default_cache_dir
+    from repro.engine.cache import default_cache_dir
     from repro.telemetry.stats import (canonical_bytes, load_store_stats,
                                        render_stats_table, store_stats_path)
 
@@ -943,7 +955,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_dash(args: argparse.Namespace) -> int:
-    from repro.engine import default_cache_dir
+    from repro.engine.cache import default_cache_dir
     from repro.telemetry.dash import write_dashboard
 
     directory = args.cache_dir or str(default_cache_dir())
@@ -1108,6 +1120,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     if args.what == "passes":
+        from repro.passes import ALL_VERIFIED_PASSES, EXTENSION_PASSES, UNSUPPORTED_PASSES
+
         for pass_class in ALL_VERIFIED_PASSES:
             print(f"{pass_class.__name__:34s} verified   {pass_class.pass_type}")
         for pass_class in EXTENSION_PASSES:
@@ -1116,6 +1130,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
             reason = getattr(pass_class, "unsupported_reason", "")
             print(f"{pass_class.__name__:34s} unsupported ({reason})")
     elif args.what == "devices":
+        from repro.coupling.devices import DEVICE_BUILDERS, device
+
         for name in sorted(DEVICE_BUILDERS):
             topology = device(name)
             print(f"{name:20s} {topology.num_qubits:3d} qubits, {len(topology.edges)} edges")

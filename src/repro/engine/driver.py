@@ -28,6 +28,7 @@ verify-before-run mode, and the Table 2 benchmark driver all route through
 from __future__ import annotations
 
 import importlib
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
@@ -956,6 +957,16 @@ def store_certificates(cache, certificates: Dict[str, dict]) -> None:
         put(key, value)
 
 
+def _kernel_counters() -> Optional[Dict[str, int]]:
+    """The proving kernel's cumulative counters, or ``None`` if never loaded.
+
+    A process that has not imported the kernel has proved nothing with it,
+    so a run served wholly from the cache does not import it to read zeros.
+    """
+    arena = sys.modules.get("repro.smt.arena")
+    return arena.kernel_stats() if arena is not None else None
+
+
 def _verify_passes_with_cache(
     pass_classes, stats, cache, kwargs_fn, counterexample_search,
     share_subgoals, started, base_invalidated=0, changed_paths=None,
@@ -983,13 +994,7 @@ def _verify_passes_with_cache(
 
     # Kernel counters are process-global and cumulative; snapshot them so
     # the recorder is fed this run's delta, not the process total.
-    kernel_base = None
-    try:
-        from repro.smt.arena import kernel_stats
-
-        kernel_base = kernel_stats()
-    except Exception:
-        pass
+    kernel_base = _kernel_counters() or {}
 
     results, pending = resolve_pending(
         pass_classes, stats, cache, kwargs_fn,
@@ -1085,17 +1090,11 @@ def _verify_passes_with_cache(
     if tracer is not None and backend_stats is not None:
         tracer.event("prover.stats", kind="prover",
                      solver=discharger.solver_name, **backend_stats)
-    kernel_delta = None
-    if kernel_base is not None:
-        try:
-            from repro.smt.arena import kernel_stats
-
-            kernel_delta = {
-                field: value - kernel_base.get(field, 0)
-                for field, value in kernel_stats().items()
-            }
-        except Exception:
-            kernel_delta = None
+    kernel_now = _kernel_counters()
+    kernel_delta = None if kernel_now is None else {
+        field: value - kernel_base.get(field, 0)
+        for field, value in kernel_now.items()
+    }
     if tracer is not None and kernel_delta is not None:
         tracer.event("kernel.stats", kind="prover",
                      solver=discharger.solver_name, **kernel_delta)

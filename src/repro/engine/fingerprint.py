@@ -28,7 +28,7 @@ incremental layer relies on):
    ``data_dependencies`` class attribute whose file contents are folded
    into the key (:func:`data_dependency_digest`).  The file set that can
    change a pass key is therefore the pass's own module plus the
-   toolchain/rule modules listed by :func:`toolchain_modules`, plus any
+   toolchain/rule modules listed in :data:`TOOLCHAIN_MODULES`, plus any
    declared or kwarg-carried data files; this is the contract
    :mod:`repro.incremental.deps` builds its dependency index on.
 2. **Keys are deterministic across processes.**  Symbolic uids are renamed
@@ -53,12 +53,11 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import importlib
-import inspect
+import importlib.util
 import os
 import re
 import sys
-from functools import lru_cache
+import tokenize
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.circuit.gate import Gate
@@ -303,6 +302,222 @@ def unit_fingerprint(pass_key: str, shard_index: int, shard_count: int) -> str:
 
 
 # --------------------------------------------------------------------------- #
+# The source index
+# --------------------------------------------------------------------------- #
+#: This package's name and directory: ``repro.*`` module names resolve to
+#: files under it without importing anything.
+_PACKAGE = __name__.partition(".")[0]
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: What the import scan steps over (comments and string literals, so that
+#: text inside them is never read as code) or stops at: an ``import`` or
+#: ``from`` keyword that starts a statement (after a newline, ``;`` or
+#: ``:``), with the rest of the statement, parenthesised or
+#: backslash-continued lines included.  Every alternative starts with one of
+#: ``#"'\n;:``, which lets the regex engine skip other text quickly.
+_IMPORT_SCAN = re.compile(r"""
+      \#[^\n]*
+    | \"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\"\"\"
+    | '''[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*'''
+    | "[^"\\\n]*(?:\\.[^"\\\n]*)*" | '[^'\\\n]*(?:\\.[^'\\\n]*)*'
+    | [\n;:][ \t]*
+      (?P<stmt>(?:from|import)\b(?:[^\n;\#()\\]|\\\n|\((?:\#[^\n]*|[^)\#])*\))*)
+""", re.DOTALL | re.VERBOSE)
+
+
+class SourceFile:
+    """What the engine reads from one source file, each part computed once.
+
+    ``text`` is the file as :func:`inspect.getsource` returns a module;
+    :attr:`classes` and :attr:`imports` are derived from it on first use.
+    """
+
+    __slots__ = ("path", "stamp", "text", "_classes", "_imports")
+
+    def __init__(self, path: str, stamp: Tuple[int, int], text: str) -> None:
+        self.path = path
+        self.stamp = stamp
+        self.text = text
+        self._classes: Optional[Dict[str, str]] = None
+        self._imports: Optional[Tuple[str, ...]] = None
+
+    @property
+    def classes(self) -> Dict[str, str]:
+        """Source segment of every class, by qualname, from one parse.
+
+        A segment runs from the ``class`` keyword to the end of the body,
+        as :func:`ast.get_source_segment` would cut it; slicing one shared
+        line list keeps fingerprinting the whole suite around 1 ms.
+        """
+        if self._classes is None:
+            lines = self.text.splitlines(keepends=True)
+            segments: Dict[str, str] = {}
+
+            def segment_of(node: ast.AST) -> str:
+                if node.end_lineno == node.lineno:
+                    return lines[node.lineno - 1][node.col_offset:node.end_col_offset]
+                first = lines[node.lineno - 1][node.col_offset:]
+                middle = lines[node.lineno:node.end_lineno - 1]
+                last = lines[node.end_lineno - 1][:node.end_col_offset]
+                return "".join([first, *middle, last])
+
+            def walk(node: ast.AST, prefix: str) -> None:
+                for child in ast.iter_child_nodes(node):
+                    if isinstance(child, ast.ClassDef):
+                        qualname = f"{prefix}{child.name}"
+                        segments[qualname] = segment_of(child)
+                        walk(child, f"{qualname}.")
+                    elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        walk(child, f"{prefix}{child.name}.<locals>.")
+
+            walk(ast.parse(self.text), "")
+            self._classes = segments
+        return self._classes
+
+    @property
+    def imports(self) -> Tuple[str, ...]:
+        """Every ``repro.*`` name the file's import statements mention, sorted.
+
+        Read from the import statements alone: :data:`_IMPORT_SCAN` finds
+        them and only they are parsed, never the whole module.  ``from
+        package import name`` is ambiguous between a submodule and an
+        attribute, so both readings are listed (the dependency walk keeps
+        whichever names a module file).  Relative imports resolve against
+        the file's path.
+        """
+        if self._imports is None:
+            found = set()
+
+            def note(name: Optional[str]) -> None:
+                if name and (name == _PACKAGE or name.startswith(_PACKAGE + ".")):
+                    found.add(name)
+
+            for match in _IMPORT_SCAN.finditer("\n" + self.text):
+                statement = match.group("stmt")
+                if statement is None:
+                    continue
+                try:
+                    nodes = ast.parse(statement.rstrip()).body
+                except SyntaxError:
+                    continue  # "from" inside an expression, not an import
+                for node in nodes:
+                    if isinstance(node, ast.Import):
+                        for alias in node.names:
+                            note(alias.name)
+                    elif isinstance(node, ast.ImportFrom):
+                        base = node.module or ""
+                        if node.level:
+                            base = _relative_base(self.path, node.level, base)
+                        note(base)
+                        for alias in node.names:
+                            if base:
+                                note(f"{base}.{alias.name}")
+            self._imports = tuple(sorted(found))
+        return self._imports
+
+
+def _relative_base(path: str, level: int, base: str) -> str:
+    """Resolve a ``from . import x``-style module name from the file path."""
+    parts = path.split(os.sep)
+    try:
+        root = parts.index(_PACKAGE)
+    except ValueError:
+        return base
+    package = parts[root:-1]  # drop the file name
+    ascend = level - 1
+    if ascend:
+        package = package[:-ascend] if ascend < len(package) else []
+    if not package:
+        return base
+    prefix = ".".join(package)
+    return f"{prefix}.{base}" if base else prefix
+
+
+#: path -> its :class:`SourceFile`, replaced when the file's (mtime, size)
+#: stamp moves.  Both tables are cleared by :func:`reset_source_index`.
+_SOURCE_INDEX: Dict[str, SourceFile] = {}
+#: module name -> normalised source path (``None``: no ``.py`` file).
+_MODULE_PATHS: Dict[str, Optional[str]] = {}
+
+
+def _normalize(path: str) -> str:
+    return os.path.realpath(os.path.abspath(path))
+
+
+def source_file(path: str) -> Optional[SourceFile]:
+    """The indexed :class:`SourceFile` for ``path``, or ``None`` if unreadable.
+
+    One per process per ``(path, mtime_ns, size)``: a file is read once
+    however many fingerprints and dependency walks need it, and read
+    again after an edit.
+    """
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    stamp = (status.st_mtime_ns, status.st_size)
+    entry = _SOURCE_INDEX.get(path)
+    if entry is None or entry.stamp != stamp:
+        try:
+            # Decoded as the import system and linecache decode it.
+            with tokenize.open(path) as handle:
+                text = handle.read()
+        except (OSError, SyntaxError, UnicodeDecodeError):
+            return None
+        if text and not text.endswith("\n"):
+            text += "\n"  # as linecache, hence inspect.getsource, does
+        entry = _SOURCE_INDEX[path] = SourceFile(path, stamp, text)
+    return entry
+
+
+def module_source_path(module_name: str) -> Optional[str]:
+    """The normalised ``.py`` file backing ``module_name``, or ``None``.
+
+    ``repro.*`` names resolve against the package directory (a package's
+    ``__init__.py`` before a same-named module, as the import system
+    does), so nothing is imported or executed.  Other names (pass modules
+    outside the package) use the imported module's ``__file__``, falling
+    back to :func:`importlib.util.find_spec`, which imports their parent
+    packages.
+    """
+    if module_name in _MODULE_PATHS:
+        return _MODULE_PATHS[module_name]
+    head, _, rest = module_name.partition(".")
+    path = None
+    if head == _PACKAGE:
+        base = os.path.join(_PACKAGE_DIR, *rest.split(".")) if rest else _PACKAGE_DIR
+        for candidate in (os.path.join(base, "__init__.py"), base + ".py"):
+            if os.path.isfile(candidate):
+                path = candidate
+                break
+    else:
+        module = sys.modules.get(module_name)
+        path = getattr(module, "__file__", None) if module is not None else None
+        if path is None:
+            try:
+                spec = importlib.util.find_spec(module_name)
+            except (ImportError, AttributeError, ValueError):
+                spec = None
+            path = spec.origin if spec is not None else None
+    path = _normalize(path) if path is not None and path.endswith(".py") else None
+    _MODULE_PATHS[module_name] = path
+    return path
+
+
+def reset_source_index() -> None:
+    """Forget every indexed file and module resolution (after reloads)."""
+    _SOURCE_INDEX.clear()
+    _MODULE_PATHS.clear()
+
+
+def module_text(module_name: str) -> str:
+    """The source text of ``module_name`` (``""`` when it has no file)."""
+    path = module_source_path(module_name)
+    source = source_file(path) if path is not None else None
+    return source.text if source is not None else ""
+
+
+# --------------------------------------------------------------------------- #
 # Rule set / toolchain
 # --------------------------------------------------------------------------- #
 _rule_set_memo: Optional[str] = None
@@ -328,26 +543,58 @@ def rule_set_fingerprint() -> str:
     """Hash of the active rewrite-rule set and the commutation semantics."""
     global _rule_set_memo
     if _rule_set_memo is None:
-        from repro.symbolic import commutation
-
         _rule_set_memo = _sha256(
-            _render_circuit_rules() + "\n" + inspect.getsource(commutation)
+            _render_circuit_rules() + "\n"
+            + module_text("repro.symbolic.commutation")
         )
     return _rule_set_memo
 
 
-def toolchain_modules() -> Tuple:
-    """The modules whose source text feeds :func:`toolchain_fingerprint`.
+#: The modules whose source text feeds :func:`toolchain_fingerprint`, in
+#: hash order: the names of :func:`toolchain_modules`, which the hash reads
+#: from the source index without importing them.
+TOOLCHAIN_MODULES: Tuple[str, ...] = (
+    # obligation generation
+    "repro.verify.verifier", "repro.verify.preprocessor",
+    "repro.verify.session", "repro.verify.symvalues",
+    "repro.verify.templates", "repro.verify.facts", "repro.verify.passes",
+    "repro.utility.analysis_ops", "repro.utility.circuit_ops",
+    "repro.utility.coupling_ops", "repro.utility.layout_selection",
+    "repro.utility.merge", "repro.utility.transforms",
+    # obligation discharge (the pluggable prover core)
+    "repro.verify.discharge", "repro.symbolic.equivalence",
+    "repro.smt.solver", "repro.smt.congruence", "repro.smt.ematch",
+    "repro.prover.backend", "repro.prover.builtin",
+    "repro.prover.boundedbackend", "repro.prover.z3backend",
+    "repro.prover.rulebase", "repro.prover.certificate",
+    "repro.prover.methods", "repro.prover.methods.syntactic",
+    "repro.prover.methods.structural", "repro.prover.methods.sequence",
+    "repro.prover.methods.congruence",
+    # counterexample confirmation (cached alongside the verdict)
+    "repro.verify.counterexample",
+    # the rule set (hashed separately via rule_set_fingerprint)
+    "repro.symbolic.rules", "repro.symbolic.commutation",
+)
 
-    Covers both halves of the pipeline: the *front end* that generates the
-    obligations (preprocessor, symbolic executor, loop templates, utility
-    specifications, the base-pass obligations, the top-level verifier) and
-    the *back end* that discharges them (rule set, discharge engine,
-    sequence-equivalence engine, mini-SMT solver).  The rule-set modules
-    (:mod:`repro.symbolic.rules`, :mod:`repro.symbolic.commutation`) hash
-    separately through :func:`rule_set_fingerprint` but are included here so
-    callers asking "which files can change a cache key?" (the incremental
-    dependency index) get the complete answer.
+#: The toolchain modules :func:`rule_set_fingerprint` covers instead.
+_RULE_SET_MODULES = ("repro.symbolic.rules", "repro.symbolic.commutation")
+
+#: Toolchain modules that feed the hash through one top-level function
+#: only.  The hash has always taken ``repro.verify.discharge`` as the
+#: ``discharge`` function (the object ``from repro.verify import
+#: discharge`` yields, since the package re-exports the function under the
+#: module's name), so the ``Discharger`` class there is not hashed.  Kept
+#: as is so that existing keys stay valid; widening it is a deliberate key
+#: change.
+_HASHED_FUNCTIONS = {"repro.verify.discharge": "discharge"}
+
+
+def toolchain_modules() -> Tuple:
+    """The imported :data:`TOOLCHAIN_MODULES` (``discharge``: the function).
+
+    Importing them loads the whole prover; fingerprints and the dependency
+    index use the names instead.  These import statements are also how
+    the dependency walk reaches the prover from every pass.
     """
     from repro.prover import (
         backend,
@@ -376,7 +623,6 @@ def toolchain_modules() -> Tuple:
     )
     from repro.verify import (
         counterexample,
-        discharge,
         facts,
         passes,
         preprocessor,
@@ -385,39 +631,49 @@ def toolchain_modules() -> Tuple:
         templates,
         verifier,
     )
+    from repro.verify.discharge import discharge
 
     return (
-        # obligation generation
         verifier, preprocessor, session, symvalues, templates, facts,
         passes, analysis_ops, circuit_ops, coupling_ops,
         layout_selection, merge, transforms,
-        # obligation discharge (the pluggable prover core)
         discharge, equivalence, solver, congruence, ematch,
         backend, builtin, boundedbackend, z3backend, rulebase, certificate,
         methods, method_syntactic, method_structural, method_sequence,
         method_congruence,
-        # counterexample confirmation (cached alongside the verdict)
         counterexample,
-        # the rule set (hashed separately via rule_set_fingerprint)
         rules, commutation,
     )
+
+
+def _toolchain_source(module_name: str) -> str:
+    """The text one toolchain module contributes to the hash."""
+    text = module_text(module_name)
+    function = _HASHED_FUNCTIONS.get(module_name)
+    if function is None:
+        return text
+    # The lines inspect.getsource gives for a top-level function.
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name == function:
+            first = node.decorator_list[0].lineno if node.decorator_list else node.lineno
+            return "".join(text.splitlines(keepends=True)[first - 1:node.end_lineno])
+    return ""
 
 
 def toolchain_fingerprint() -> str:
     """Hash of everything a cached verdict depends on besides the pass.
 
-    Editing any module in :func:`toolchain_modules` changes this hash and
+    Editing any module in :data:`TOOLCHAIN_MODULES` changes this hash and
     therefore every cache key, so a fixed template or a strengthened
-    obligation can never be masked by a stale cached verdict.
+    obligation can never be masked by a stale cached verdict.  The sources
+    come from the source index, so hashing imports no prover module.
     """
     global _toolchain_memo
     if _toolchain_memo is None:
-        from repro.symbolic import commutation, rules
-
-        excluded = {rules, commutation}
         sources = "\n".join(
-            inspect.getsource(module)
-            for module in toolchain_modules() if module not in excluded
+            _toolchain_source(name) for name in TOOLCHAIN_MODULES
+            if name not in _RULE_SET_MODULES
         )
         _toolchain_memo = _sha256(
             f"engine-v{ENGINE_VERSION}\n{rule_set_fingerprint()}\n{sources}"
@@ -426,7 +682,7 @@ def toolchain_fingerprint() -> str:
 
 
 def reset_memos() -> None:
-    """Forget every memoised fingerprint and source extraction.
+    """Forget every memoised fingerprint and the source index.
 
     Long-lived processes (``repro watch``, the daemon's background watcher)
     call this after reloading an edited module: the rule-set and toolchain
@@ -437,7 +693,7 @@ def reset_memos() -> None:
     global _rule_set_memo, _toolchain_memo
     _rule_set_memo = None
     _toolchain_memo = None
-    _module_class_sources.cache_clear()
+    reset_source_index()
 
 
 # --------------------------------------------------------------------------- #
@@ -461,73 +717,25 @@ def _canon_kwarg(value):
     return repr(value)
 
 
-@lru_cache(maxsize=None)
-def _module_class_sources(module_name: str, stamp: Tuple) -> Dict[str, str]:
-    """Source text of every class in a module, extracted with one parse.
-
-    ``inspect.getsource`` re-tokenises the whole module per class, which
-    dominated warm-cache runs; parsing the module AST once and slicing out
-    every class body makes fingerprinting 44 passes take ~1 ms.  ``stamp``
-    (the file's mtime and size) keys the memo so an edited-and-reloaded
-    module is re-extracted.
-    """
-    del stamp  # part of the cache key only
-    module = importlib.import_module(module_name)
-    source = inspect.getsource(module)
-    tree = ast.parse(source)
-    lines = source.splitlines(keepends=True)
-    segments: Dict[str, str] = {}
-
-    def segment_of(node: ast.AST) -> str:
-        # ast.get_source_segment re-splits the module per call; slicing the
-        # shared line list keeps fingerprinting the whole suite around 1 ms.
-        if node.end_lineno == node.lineno:
-            return lines[node.lineno - 1][node.col_offset:node.end_col_offset]
-        first = lines[node.lineno - 1][node.col_offset:]
-        middle = lines[node.lineno:node.end_lineno - 1]
-        last = lines[node.end_lineno - 1][:node.end_col_offset]
-        return "".join([first, *middle, last])
-
-    def walk(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                qualname = f"{prefix}{child.name}"
-                segments[qualname] = segment_of(child)
-                walk(child, f"{qualname}.")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                walk(child, f"{prefix}{child.name}.<locals>.")
-
-    walk(tree, "")
-    return segments
-
-
-def _module_stamp(module_name: str) -> Optional[Tuple]:
-    module = sys.modules.get(module_name)
-    path = getattr(module, "__file__", None) if module is not None else None
-    if path is None:
-        return None
-    try:
-        status = os.stat(path)
-    except OSError:
-        return None
-    return (path, status.st_mtime_ns, status.st_size)
-
-
 def pass_source(pass_class) -> Optional[str]:
     """The pass's source text, or ``None`` when it cannot be recovered.
 
-    Dynamically created classes (``exec``/REPL) have no retrievable source;
-    the engine treats them as uncacheable rather than risking a collision.
+    The class body is sliced out of its module's indexed source (the
+    segment from ``class`` to the end of the body).  Dynamically created
+    classes (``exec``/REPL) have no retrievable source; the engine treats
+    them as uncacheable rather than risking a collision.
     """
-    stamp = _module_stamp(pass_class.__module__)
-    if stamp is not None:
+    path = module_source_path(pass_class.__module__)
+    source = source_file(path) if path is not None else None
+    if source is not None:
         try:
-            segments = _module_class_sources(pass_class.__module__, stamp)
-        except (OSError, TypeError, SyntaxError):
-            segments = {}
-        source = segments.get(pass_class.__qualname__)
-        if source is not None:
-            return source
+            segment = source.classes.get(pass_class.__qualname__)
+        except (SyntaxError, ValueError):
+            segment = None
+        if segment is not None:
+            return segment
+    import inspect
+
     try:
         return inspect.getsource(pass_class)
     except (OSError, TypeError):

@@ -14,7 +14,6 @@ in-process execution — parallelism is an optimisation, never a requirement.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
@@ -36,6 +35,8 @@ def default_jobs() -> int:
 
 def _start_context():
     """Prefer ``fork`` (cheap, inherits the imported package) when available."""
+    import multiprocessing  # only a pool needs it, not the in-process path
+
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")

@@ -22,29 +22,6 @@ loop inside the daemon so invalidated entries are re-proved (pre-warmed)
 before the next client asks.
 """
 
-from repro.incremental.deps import (
-    DEPS_SCHEMA_VERSION,
-    build_dep_entry,
-    class_data_paths,
-    identity_key,
-    kwarg_data_paths,
-    pass_dependency_paths,
-    toolchain_dependency_paths,
-)
-from repro.incremental.detect import (
-    ChangeDetector,
-    is_python_source,
-    normalize_path,
-    partition_changes,
-    stale_identities,
-)
-from repro.incremental.watch import (
-    WatchCycle,
-    Watcher,
-    refresh_classes,
-    refresh_source_state,
-)
-
 __all__ = [
     "ChangeDetector",
     "DEPS_SCHEMA_VERSION",
@@ -63,3 +40,36 @@ __all__ = [
     "stale_identities",
     "toolchain_dependency_paths",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the re-exports load on first use, so that importing one
+    # submodule does not execute the whole package.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.incremental.deps import (
+        DEPS_SCHEMA_VERSION,
+        build_dep_entry,
+        class_data_paths,
+        identity_key,
+        kwarg_data_paths,
+        pass_dependency_paths,
+        toolchain_dependency_paths,
+    )
+    from repro.incremental.detect import (
+        ChangeDetector,
+        is_python_source,
+        normalize_path,
+        partition_changes,
+        stale_identities,
+    )
+    from repro.incremental.watch import (
+        WatchCycle,
+        Watcher,
+        refresh_classes,
+        refresh_source_state,
+    )
+
+    exports = locals()
+    globals().update((key, exports[key]) for key in __all__ if key in exports)
+    return exports[name]

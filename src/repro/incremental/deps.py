@@ -6,12 +6,13 @@ the toolchain/rule-set hash.  The set of files whose edit can change that
 key is therefore *statically known*: the pass's own module, every
 intra-package module it transitively imports (conservative — an import can
 only widen the set, never miss the module the class source lives in), and
-the toolchain modules listed by
-:func:`repro.engine.fingerprint.toolchain_modules`.
+the toolchain modules listed in
+:data:`repro.engine.fingerprint.TOOLCHAIN_MODULES`.
 
-This module computes that file set by walking the import graph with
-:mod:`ast` (stdlib only, no module execution), and defines the *dependency
-entry* the proof-cache backends persist as a schema-versioned sidecar:
+This module computes that file set by walking the import graph over the
+engine's source index (import statements read from the files; nothing is
+imported or executed), and defines the *dependency entry* the proof-cache
+backends persist as a schema-versioned sidecar:
 
 ``identity key`` → ``{"schema": ..., "fingerprint": ..., "module": ...,
 "qualname": ..., "paths": [...]}``
@@ -25,18 +26,18 @@ verification time; :mod:`repro.incremental.detect` consumes them.
 
 from __future__ import annotations
 
-import ast
-import importlib.util
 import os
-import sys
 from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.fingerprint import (
+    TOOLCHAIN_MODULES,
     _canon,
     _canon_kwarg,
     _sha256,
-    toolchain_modules,
+    module_source_path,
+    reset_source_index,
+    source_file,
 )
 from repro.incremental.detect import normalize_path as _normalize
 
@@ -45,111 +46,16 @@ from repro.incremental.detect import normalize_path as _normalize
 #: next verification) rather than misread.
 DEPS_SCHEMA_VERSION = 1
 
-#: Only modules under this package participate in the import walk; the
-#: stdlib and third-party dependencies are part of the interpreter
-#: environment, not of the watched source tree.
-_PACKAGE_ROOT = "repro"
-
-
-@lru_cache(maxsize=None)
-def module_source_path(module_name: str) -> Optional[str]:
-    """The source file backing ``module_name``, or ``None`` (builtin, C ext).
-
-    Prefers the already-imported module's ``__file__`` (cheap, and correct
-    for reloaded modules); falls back to :func:`importlib.util.find_spec`
-    without importing the module.  Memoised — ``find_spec`` imports parent
-    packages, which dominated dependency recording for whole suites — and
-    dropped by :func:`reset_memos` after reloads (a module's backing file
-    only moves across restarts otherwise).
-    """
-    module = sys.modules.get(module_name)
-    path = getattr(module, "__file__", None) if module is not None else None
-    if path is None:
-        try:
-            spec = importlib.util.find_spec(module_name)
-        except (ImportError, AttributeError, ValueError):
-            return None
-        path = spec.origin if spec is not None else None
-    if path is None or not path.endswith(".py"):
-        return None
-    return _normalize(path)
-
-
-def _stamp(path: str) -> Optional[Tuple[str, int, int]]:
-    try:
-        status = os.stat(path)
-    except OSError:
-        return None
-    return (path, status.st_mtime_ns, status.st_size)
-
-
-@lru_cache(maxsize=None)
-def _module_imports(module_name: str, stamp: Tuple) -> Tuple[str, ...]:
-    """Package-internal module names imported by ``module_name``'s source.
-
-    Parsed with :mod:`ast` — nothing is executed.  ``from package import
-    name`` is ambiguous between a submodule and an attribute; both readings
-    are resolved and whichever names an importable module survives, so
-    ``from repro.utility import circuit_ops`` contributes
-    ``repro.utility.circuit_ops`` while ``from repro.verify.passes import
-    AnalysisPass`` contributes only ``repro.verify.passes``.  ``stamp``
-    (path, mtime, size) keys the memo so an edited file is re-parsed.
-    """
-    path = stamp[0]
-    del module_name  # identified by the stamp's path; kept for readability
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
-    except (OSError, SyntaxError, ValueError):
-        return ()
-    found: Set[str] = set()
-
-    def note(name: Optional[str]) -> None:
-        if name and (name == _PACKAGE_ROOT or name.startswith(_PACKAGE_ROOT + ".")):
-            found.add(name)
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                note(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                # Relative import: resolve against the file's package.  The
-                # package name is recovered from the path suffix, which is
-                # reliable for this repo's src layout.
-                base = _package_of(path, node.level, base)
-            note(base)
-            for alias in node.names:
-                if base:
-                    note(f"{base}.{alias.name}")
-    # Keep only names that actually resolve to source files (drops the
-    # attribute reading of `from module import attribute`).
-    resolved = tuple(sorted(
-        name for name in found if module_source_path(name) is not None
-    ))
-    return resolved
-
-
-def _package_of(path: str, level: int, base: str) -> str:
-    """Resolve a ``from . import x``-style module name from the file path."""
-    parts = _normalize(path).split(os.sep)
-    try:
-        root = parts.index(_PACKAGE_ROOT)
-    except ValueError:
-        return base
-    package = parts[root:-1]  # drop the file name
-    ascend = level - 1
-    if ascend:
-        package = package[:-ascend] if ascend < len(package) else []
-    if not package:
-        return base
-    prefix = ".".join(package)
-    return f"{prefix}.{base}" if base else prefix
-
 
 def import_closure(module_name: str) -> Set[str]:
-    """Transitive intra-package import closure of ``module_name`` (inclusive)."""
+    """Transitive intra-package import closure of ``module_name`` (inclusive).
+
+    Only ``repro.*`` modules take part: the stdlib and third-party
+    dependencies are part of the interpreter environment, not of the
+    watched source tree.  Each module's imports come from the source
+    index (:class:`~repro.engine.fingerprint.SourceFile`), and a name
+    counts only if it resolves to a module file.
+    """
     seen: Set[str] = set()
     queue = [module_name]
     while queue:
@@ -160,11 +66,11 @@ def import_closure(module_name: str) -> Set[str]:
         if path is None:
             continue
         seen.add(name)
-        stamp = _stamp(path)
-        if stamp is None:
+        source = source_file(path)
+        if source is None:
             continue
-        for imported in _module_imports(name, stamp):
-            if imported not in seen:
+        for imported in source.imports:
+            if imported not in seen and module_source_path(imported) is not None:
                 queue.append(imported)
     return seen
 
@@ -180,24 +86,19 @@ def toolchain_dependency_paths() -> Tuple[str, ...]:
     """
     global _toolchain_paths_memo
     if _toolchain_paths_memo is None:
-        from repro.engine import fingerprint
-
-        paths = {_normalize(fingerprint.__file__)}
-        for module in toolchain_modules():
-            path = getattr(module, "__file__", None)
-            if path is not None:
-                paths.add(_normalize(path))
+        paths = {module_source_path("repro.engine.fingerprint")}
+        paths.update(module_source_path(name) for name in TOOLCHAIN_MODULES)
+        paths.discard(None)
         _toolchain_paths_memo = tuple(sorted(paths))
     return _toolchain_paths_memo
 
 
 def reset_memos() -> None:
-    """Forget memoised import walks and toolchain paths (after reloads)."""
+    """Forget memoised import walks, toolchain paths and the source index."""
     global _toolchain_paths_memo
     _toolchain_paths_memo = None
-    _module_imports.cache_clear()
-    module_source_path.cache_clear()
     _module_dependency_paths.cache_clear()
+    reset_source_index()
 
 
 @lru_cache(maxsize=None)

@@ -26,30 +26,63 @@ Modules:
   worker heartbeats and the daemon's ``/metrics``.
 """
 
-from repro.telemetry.trace import (  # noqa: F401
-    TRACE_SCHEMA_VERSION,
-    Tracer,
-    TraceWriter,
-    collecting,
-    configure,
-    current,
-    shutdown,
-    tracing,
-)
-from repro.telemetry.metrics import (  # noqa: F401
-    CounterRegistry,
-    parse_prometheus,
-    render_prometheus,
-)
-from repro.telemetry.bounds import (  # noqa: F401
-    DEFAULT_MIN_SECONDS,
-    DEFAULT_NOISE_PCT,
-    is_regression,
-)
-from repro.telemetry.diff import diff_summaries, render_diff  # noqa: F401
-from repro.telemetry.history import (  # noqa: F401
-    HISTORY_SCHEMA_VERSION,
-    TelemetryHistory,
-    git_describe,
-    history_path,
-)
+__all__ = [
+    "CounterRegistry",
+    "DEFAULT_MIN_SECONDS",
+    "DEFAULT_NOISE_PCT",
+    "HISTORY_SCHEMA_VERSION",
+    "TRACE_SCHEMA_VERSION",
+    "TelemetryHistory",
+    "TraceWriter",
+    "Tracer",
+    "collecting",
+    "configure",
+    "current",
+    "diff_summaries",
+    "git_describe",
+    "history_path",
+    "is_regression",
+    "parse_prometheus",
+    "render_diff",
+    "render_prometheus",
+    "shutdown",
+    "tracing",
+]
+
+
+def __getattr__(name):
+    # PEP 562: the re-exports load on first use, so that importing one
+    # submodule does not execute the whole package.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.telemetry.trace import (
+        TRACE_SCHEMA_VERSION,
+        Tracer,
+        TraceWriter,
+        collecting,
+        configure,
+        current,
+        shutdown,
+        tracing,
+    )
+    from repro.telemetry.metrics import (
+        CounterRegistry,
+        parse_prometheus,
+        render_prometheus,
+    )
+    from repro.telemetry.bounds import (
+        DEFAULT_MIN_SECONDS,
+        DEFAULT_NOISE_PCT,
+        is_regression,
+    )
+    from repro.telemetry.diff import diff_summaries, render_diff
+    from repro.telemetry.history import (
+        HISTORY_SCHEMA_VERSION,
+        TelemetryHistory,
+        git_describe,
+        history_path,
+    )
+
+    exports = locals()
+    globals().update((key, exports[key]) for key in __all__ if key in exports)
+    return exports[name]

@@ -1,0 +1,159 @@
+"""The source index against the ``inspect``/``ast`` readings it replaced.
+
+Cache keys and dependency entries are a contract: reading sources through
+the index must give byte-identical pass sources, toolchain and rule-set
+hashes, and import lists.  Each reference below is computed the way the
+engine computed it before the index existed.
+"""
+
+import ast
+import hashlib
+import inspect
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.engine import fingerprint
+from repro.engine.fingerprint import (
+    ENGINE_VERSION,
+    TOOLCHAIN_MODULES,
+    module_source_path,
+    pass_source,
+    rule_set_fingerprint,
+    source_file,
+    toolchain_fingerprint,
+    toolchain_modules,
+)
+from repro.passes import ALL_VERIFIED_PASSES, EXTENSION_PASSES, buggy
+
+BUGGY_PASSES = [
+    value for name, value in sorted(vars(buggy).items())
+    if name.startswith("Buggy") and isinstance(value, type)
+]
+PASSES = list(ALL_VERIFIED_PASSES) + list(EXTENSION_PASSES) + BUGGY_PASSES
+PACKAGE_DIR = Path(fingerprint.__file__).resolve().parents[1]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _reference_class_source(pass_class):
+    """The class segment cut from ``inspect.getsource`` of its module."""
+    source = inspect.getsource(sys.modules[pass_class.__module__])
+    lines = source.splitlines(keepends=True)
+
+    def find(body, parts):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and node.name == parts[0]:
+                return node if len(parts) == 1 else find(node.body, parts[1:])
+        return None
+
+    node = find(ast.parse(source).body, pass_class.__qualname__.split("."))
+    if node.end_lineno == node.lineno:
+        return lines[node.lineno - 1][node.col_offset:node.end_col_offset]
+    return "".join([lines[node.lineno - 1][node.col_offset:],
+                    *lines[node.lineno:node.end_lineno - 1],
+                    lines[node.end_lineno - 1][:node.end_col_offset]])
+
+
+def _reference_imports(path, text):
+    """Every ``repro.*`` name a full ``ast.walk`` finds in import statements."""
+    found = set()
+
+    def note(name):
+        if name and (name == "repro" or name.startswith("repro.")):
+            found.add(name)
+
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                note(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = fingerprint._relative_base(path, node.level, base)
+            note(base)
+            for alias in node.names:
+                if base:
+                    note(f"{base}.{alias.name}")
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize("pass_class", PASSES, ids=lambda cls: cls.__name__)
+def test_pass_source_matches_the_inspect_reading(pass_class):
+    assert pass_source(pass_class) == _reference_class_source(pass_class)
+
+
+def test_toolchain_fingerprint_matches_the_inspect_reading():
+    modules = toolchain_modules()
+    assert [getattr(m, "__module__", None) or m.__name__ for m in modules] \
+        == list(TOOLCHAIN_MODULES)
+    from repro.symbolic import commutation, rules
+
+    sources = "\n".join(inspect.getsource(m) for m in modules
+                        if m not in (rules, commutation))
+    assert toolchain_fingerprint() == _sha256(
+        f"engine-v{ENGINE_VERSION}\n{rule_set_fingerprint()}\n{sources}")
+
+
+def test_rule_set_fingerprint_matches_the_inspect_reading():
+    from repro.symbolic import commutation
+
+    assert rule_set_fingerprint() == _sha256(
+        fingerprint._render_circuit_rules() + "\n" + inspect.getsource(commutation))
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE_DIR.rglob("*.py")),
+    ids=lambda p: str(p.relative_to(PACKAGE_DIR)))
+def test_import_scan_matches_a_full_ast_walk(path):
+    source = source_file(str(path))
+    assert source.imports == _reference_imports(source.path, source.text)
+
+
+def test_import_scan_skips_strings_and_comments(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        '"""Docstring that mentions\n'
+        'from repro.dag import DAGCircuit\n'
+        '"""\n'
+        "# import repro.bench\n"
+        "x = 'import repro.transpiler'; import repro.qasm\n"
+        "y = \"#\"; import repro.coupling\n"
+        "if x: from repro.errors import (  # a comment (with parens)\n"
+        "    ReproError,\n"
+        ")\n"
+        "def f():\n"
+        "    from repro.circuit import \\\n"
+        "        gate\n"
+    )
+    assert source_file(str(path)).imports == (
+        "repro.circuit", "repro.circuit.gate", "repro.coupling", "repro.errors",
+        "repro.errors.ReproError", "repro.qasm")
+
+
+def test_module_paths_resolve_without_importing():
+    before = set(sys.modules)
+    assert module_source_path("repro.dag.converters") == \
+        os.path.realpath(PACKAGE_DIR / "dag" / "converters.py")
+    assert module_source_path("repro.transpiler") == \
+        os.path.realpath(PACKAGE_DIR / "transpiler" / "__init__.py")
+    assert module_source_path("repro.verify.passes.AnalysisPass") is None
+    assert set(sys.modules) == before
+
+
+def test_edited_file_is_read_again(tmp_path):
+    path = tmp_path / "edited.py"
+    path.write_text("class A:\n    pass\n")
+    first = source_file(str(path))
+    assert source_file(str(path)) is first
+    path.write_text("class A:\n    x = 1\n\n\nclass B:\n    pass\n")
+    os.utime(path, ns=(first.stamp[0] + 10**9, first.stamp[0] + 10**9))
+    second = source_file(str(path))
+    assert second is not first
+    assert set(second.classes) == {"A", "B"}
+    fingerprint.reset_source_index()
+    assert source_file(str(path)) is not second

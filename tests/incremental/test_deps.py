@@ -1,6 +1,10 @@
 """Dependency-index construction and persistence across both cache backends."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,33 @@ def test_import_closure_is_transitive():
     assert "repro.verify.facts" in closure
     # nothing outside the package leaks in
     assert all(name.startswith("repro") for name in closure)
+
+
+def test_dependency_walk_imports_nothing():
+    """Recording deps reads sources; it must not execute a single module.
+
+    Run in a fresh interpreter: the closure of every pass reaches
+    ``repro.dag`` (and, through it, networkx), which nothing in the verify
+    path imports.
+    """
+    child = (
+        "import sys\n"
+        "from repro.engine.driver import default_pass_kwargs\n"
+        "from repro.incremental.deps import build_dep_entry, import_closure\n"
+        "from repro.passes import ALL_VERIFIED_PASSES\n"
+        "before = set(sys.modules)\n"
+        "closure = import_closure('repro.passes.optimization')\n"
+        "assert 'repro.dag.dagcircuit' in closure, sorted(closure)\n"
+        "for cls in ALL_VERIFIED_PASSES:\n"
+        "    build_dep_entry(cls, default_pass_kwargs(cls), 'fp')\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[2] / "src")]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_identity_key_stable_under_source_edits_but_kwarg_sensitive():
