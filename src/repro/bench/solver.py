@@ -79,7 +79,11 @@ def ematch_bench(num_rules: int = 256, chain: int = 12,
     from repro.smt.ematch import instantiate_rules
     from repro.smt.solver import goal_atoms
     from repro.smt.terms import CIRCUIT, eq, var
-    from repro.symbolic.rules import apply_sequence, cancellation_rule_for, gate_term
+    from repro.prover.methods.congruence import (
+        apply_sequence,
+        cancellation_rule_for,
+        gate_term,
+    )
 
     rules = [cancellation_rule_for(Gate("h", (i,))) for i in range(num_rules)]
     register = var("Q0", CIRCUIT)

@@ -100,6 +100,17 @@ def _store_errors() -> tuple:
     return (OSError,) if sqlite3 is None else (OSError, sqlite3.Error)
 
 
+def _solver_errors() -> tuple:
+    """``SolverUnavailable`` once the solver registry has loaded.
+
+    Only :mod:`repro.prover.backend` raises it, so a run that never loaded
+    the registry has nothing to catch; evaluated when an exception
+    arrives, like :func:`_store_errors`.
+    """
+    backend = sys.modules.get("repro.prover.backend")
+    return () if backend is None else (backend.SolverUnavailable,)
+
+
 def _known_passes() -> Dict[str, Type]:
     from repro.passes import ALL_VERIFIED_PASSES, EXTENSION_PASSES
 
@@ -198,7 +209,6 @@ def _record_history(args: argparse.Namespace) -> None:
 
 def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
     from repro.engine.driver import default_pass_kwargs, verify_passes
-    from repro.prover.backend import SolverUnavailable, available_solvers
     from repro.verify.report import to_json, to_markdown, to_text
 
     try:
@@ -242,7 +252,9 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
                 changed_paths=args.changed,
                 solver=args.solver,
             )
-    except SolverUnavailable as exc:
+    except _solver_errors() as exc:
+        from repro.prover.backend import available_solvers
+
         print(f"{exc}", file=sys.stderr)
         installed = ", ".join(name for name, ok in available_solvers() if ok)
         print(f"available solver backends here: {installed}", file=sys.stderr)

@@ -351,6 +351,9 @@ class ClusterCoordinator:
         self._counter_lock = threading.Lock()
         self.workers_connected = 0
         self.workers_seen = 0
+        #: Set when a worker first leases a unit: the fleet is working, so
+        #: the coordinator may compete for units from then on.
+        self.fleet_working = threading.Event()
         self.remote_units = 0
         self.coordinator_units = 0
         self.remote_subgoal_hits = 0
@@ -512,6 +515,7 @@ class ClusterCoordinator:
                         self.board.heartbeat(owner, message.get("heartbeat"))
                     kind, unit = self.scheduler.lease(owner)
                     if kind == "unit":
+                        self.fleet_working.set()
                         wire = unit.to_wire(self.counterexample_search,
                                             self.solver)
                         if self.tracer is not None:
@@ -871,16 +875,19 @@ def _await_completion(scheduler, coordinator, processes, *, local_mode,
     """
     deadline = time.monotonic() + run_timeout
     first_worker_deadline = time.monotonic() + worker_wait
-    # Until a worker shows up, give the fleet a short head start before
-    # the coordinator starts competing for units: a fast suite drained
-    # entirely by self-leasing would make every run look worker-less.
+    # Until a worker has leased a unit, give the fleet a short head start
+    # before the coordinator starts competing for units: a fast suite
+    # drained entirely by self-leasing would make every run look
+    # worker-less.  A worker that has only connected is not enough: its
+    # first lease is a round trip away, and the coordinator can drain a
+    # small plan before it arrives.
     self_lease_after = time.monotonic() + min(1.0, worker_wait / 4)
     idle_since = None
     while not scheduler.done:
         now = time.monotonic()
         if now >= deadline:
             return
-        if (coordinator.workers_seen > 0 or now >= self_lease_after) \
+        if (coordinator.fleet_working.is_set() or now >= self_lease_after) \
                 and coordinator.run_one_locally():
             continue  # progressed; re-check done before any bail-out
         if coordinator.workers_connected == 0:

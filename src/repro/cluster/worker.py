@@ -186,6 +186,7 @@ def run_worker(address: str, token: str, *,
     """
     # Warm the prover before asking for work: the first unit should pay
     # for proof search, not for importing and fingerprinting the toolchain.
+    import repro.verify.discharge  # noqa: F401  (the discharge pipeline)
     from repro.engine.fingerprint import rule_set_fingerprint, toolchain_fingerprint
 
     registry = registry or pass_registry()

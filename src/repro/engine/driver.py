@@ -47,11 +47,13 @@ from repro.engine.fingerprint import (
 from repro.engine.scheduler import WorkerPool, default_jobs
 from repro.telemetry import stats as store_stats
 from repro.telemetry import trace as _trace
-from repro.verify.counterexample import CounterExample
-from repro.verify.discharge import DischargeResult, Discharger, discharge
 from repro.verify.preprocessor import PassAnalysis
-from repro.verify.session import Subgoal
+from repro.verify.session import DischargeResult, Subgoal
 from repro.verify.verifier import SubgoalOutcome, VerificationResult, verify_pass
+
+# The discharge pipeline (the whole prover) and the counterexample module
+# are imported where they are used: a run served from the store needs
+# neither.
 
 #: Passes that need a coupling map to be instantiated (Table 2 suite).
 COUPLING_PASSES = {
@@ -165,6 +167,8 @@ def payload_to_result(payload: dict, from_cache: bool = False,
         )
     counterexample = None
     if payload.get("counterexample") is not None:
+        from repro.verify.counterexample import CounterExample
+
         c = payload["counterexample"]
         counterexample = CounterExample(
             kind=c["kind"],
@@ -294,7 +298,8 @@ def _verify_one(pass_class, pass_kwargs, counterexample_search,
     to the persistent cache so LRU recency reflects snapshot-served reuse,
     and its certificate payloads feed the certificate tier.
     """
-    discharger = discharger or discharge
+    if discharger is None:
+        from repro.verify.discharge import discharge as discharger
     solver = getattr(discharger, "solver_name", DEFAULT_SOLVER)
     acct = SubgoalAccounting()
     result = verify_pass(
@@ -332,7 +337,8 @@ def verify_pass_shard(pass_class, pass_kwargs, shard_index: int, shard_count: in
     of a pass through :func:`merge_shard_payloads` reproduces the unsplit
     :func:`verify_pass` result exactly.
     """
-    discharger = discharger or discharge
+    if discharger is None:
+        from repro.verify.discharge import discharge as discharger
     solver = getattr(discharger, "solver_name", DEFAULT_SOLVER)
     acct = SubgoalAccounting()
     caching_discharge = _make_caching_discharge(subgoal_table, acct, discharger,
@@ -457,6 +463,8 @@ def _install_worker_subgoal_table(table: Dict[str, dict]) -> None:
 
 def _verify_task(task: dict) -> dict:
     """Worker entry point: verify one pass from a picklable task description."""
+    from repro.verify.discharge import Discharger
+
     pass_class = _resolve_class(task["module"], task["qualname"])
 
     def _run() -> Tuple[VerificationResult, SubgoalAccounting]:
@@ -754,14 +762,10 @@ def verify_passes(
     """
     started = time.perf_counter()
     _check_changed_paths(changed_paths)
-    from repro.prover.backend import resolve_solver
-
-    solver_backend = resolve_solver(solver)
-    discharger = Discharger(solver_backend)
     kwargs_fn = pass_kwargs_fn or default_pass_kwargs
     jobs = default_jobs() if int(jobs) <= 0 else int(jobs)
     stats = EngineStats(jobs=jobs, passes_total=len(pass_classes),
-                        solver=discharger.solver_name)
+                        solver=_resolve_solver_name(solver))
 
     own_cache = False
     if cache is None and use_cache:
@@ -776,11 +780,28 @@ def verify_passes(
             pass_classes, stats, cache, kwargs_fn, counterexample_search,
             share_subgoals, started, base_invalidated,
             changed_paths=changed_paths, record_deps=record_deps,
-            discharger=discharger,
+            solver=solver,
         )
     finally:
         if own_cache:
             cache.close()
+
+
+def _resolve_solver_name(solver: Optional[str] = "auto") -> str:
+    """The backend name a ``--solver`` choice resolves to.
+
+    ``auto`` and ``builtin`` name the builtin backend without importing the
+    prover, so a run served wholly from the store never loads it.  Any
+    other choice goes through :func:`repro.prover.backend.resolve_solver`
+    up front: an unknown name raises :class:`ValueError` and a backend
+    that cannot run here :class:`~repro.prover.backend.SolverUnavailable`,
+    before any pass is looked up.
+    """
+    if solver in (None, "", "auto", DEFAULT_SOLVER):
+        return DEFAULT_SOLVER
+    from repro.prover.backend import resolve_solver
+
+    return resolve_solver(solver).name
 
 
 def resolve_pending(
@@ -970,13 +991,12 @@ def _kernel_counters() -> Optional[Dict[str, int]]:
 def _verify_passes_with_cache(
     pass_classes, stats, cache, kwargs_fn, counterexample_search,
     share_subgoals, started, base_invalidated=0, changed_paths=None,
-    record_deps=True, discharger=None,
+    record_deps=True, solver="auto",
 ) -> EngineReport:
     # Caller-provided caches may carry counters from earlier runs; report
     # only what this run contributed.
     base_hits = cache.stats.pass_hits if cache is not None else 0
     base_misses = cache.stats.pass_misses if cache is not None else 0
-    discharger = discharger or Discharger(DEFAULT_SOLVER)
 
     # Store analytics ride along on every cached run: the recorder collects
     # the canonical per-key facts (plus backend io via the cache hook) and
@@ -999,11 +1019,17 @@ def _verify_passes_with_cache(
     results, pending = resolve_pending(
         pass_classes, stats, cache, kwargs_fn,
         changed_paths=changed_paths, record_deps=record_deps,
-        solver=discharger.solver_name, recorder=recorder,
+        solver=stats.solver, recorder=recorder,
     )
 
     tracer = _trace.current()
+    # The discharge pipeline is built, and the prover imported, only when
+    # some pass must be proved.
+    discharger = None
     if pending:
+        from repro.verify.discharge import Discharger
+
+        discharger = Discharger(solver)
         subgoal_table = cache.subgoal_snapshot() if cache is not None else {}
         if stats.jobs > 1 and len(pending) > 1:
             pool = WorkerPool(stats.jobs, initializer=_install_worker_subgoal_table,
@@ -1081,7 +1107,7 @@ def _verify_passes_with_cache(
                     cache.touch_subgoals(acct.hit_keys)
 
     backend_stats = None
-    stats_fn = getattr(discharger.backend, "stats", None)
+    stats_fn = None if discharger is None else getattr(discharger.backend, "stats", None)
     if callable(stats_fn):
         try:
             backend_stats = stats_fn()
@@ -1089,7 +1115,7 @@ def _verify_passes_with_cache(
             backend_stats = None
     if tracer is not None and backend_stats is not None:
         tracer.event("prover.stats", kind="prover",
-                     solver=discharger.solver_name, **backend_stats)
+                     solver=stats.solver, **backend_stats)
     kernel_now = _kernel_counters()
     kernel_delta = None if kernel_now is None else {
         field: value - kernel_base.get(field, 0)
@@ -1097,7 +1123,7 @@ def _verify_passes_with_cache(
     }
     if tracer is not None and kernel_delta is not None:
         tracer.event("kernel.stats", kind="prover",
-                     solver=discharger.solver_name, **kernel_delta)
+                     solver=stats.solver, **kernel_delta)
     if recorder is not None:
         if kernel_delta is not None:
             recorder.note_kernel(kernel_delta)

@@ -551,8 +551,8 @@ def rule_set_fingerprint() -> str:
 
 
 #: The modules whose source text feeds :func:`toolchain_fingerprint`, in
-#: hash order: the names of :func:`toolchain_modules`, which the hash reads
-#: from the source index without importing them.
+#: hash order.  Each is hashed whole, read from the source index without
+#: importing it.
 TOOLCHAIN_MODULES: Tuple[str, ...] = (
     # obligation generation
     "repro.verify.verifier", "repro.verify.preprocessor",
@@ -563,9 +563,11 @@ TOOLCHAIN_MODULES: Tuple[str, ...] = (
     "repro.utility.merge", "repro.utility.transforms",
     # obligation discharge (the pluggable prover core)
     "repro.verify.discharge", "repro.symbolic.equivalence",
-    "repro.smt.solver", "repro.smt.congruence", "repro.smt.ematch",
+    "repro.smt.terms", "repro.smt.solver", "repro.smt.congruence",
+    "repro.smt.arena", "repro.smt.ematch",
     "repro.prover.backend", "repro.prover.builtin",
     "repro.prover.boundedbackend", "repro.prover.z3backend",
+    "repro.prover.portfolio",
     "repro.prover.rulebase", "repro.prover.certificate",
     "repro.prover.methods", "repro.prover.methods.syntactic",
     "repro.prover.methods.structural", "repro.prover.methods.sequence",
@@ -579,87 +581,6 @@ TOOLCHAIN_MODULES: Tuple[str, ...] = (
 #: The toolchain modules :func:`rule_set_fingerprint` covers instead.
 _RULE_SET_MODULES = ("repro.symbolic.rules", "repro.symbolic.commutation")
 
-#: Toolchain modules that feed the hash through one top-level function
-#: only.  The hash has always taken ``repro.verify.discharge`` as the
-#: ``discharge`` function (the object ``from repro.verify import
-#: discharge`` yields, since the package re-exports the function under the
-#: module's name), so the ``Discharger`` class there is not hashed.  Kept
-#: as is so that existing keys stay valid; widening it is a deliberate key
-#: change.
-_HASHED_FUNCTIONS = {"repro.verify.discharge": "discharge"}
-
-
-def toolchain_modules() -> Tuple:
-    """The imported :data:`TOOLCHAIN_MODULES` (``discharge``: the function).
-
-    Importing them loads the whole prover; fingerprints and the dependency
-    index use the names instead.  These import statements are also how
-    the dependency walk reaches the prover from every pass.
-    """
-    from repro.prover import (
-        backend,
-        boundedbackend,
-        builtin,
-        certificate,
-        rulebase,
-        z3backend,
-    )
-    from repro.prover import methods
-    from repro.prover.methods import (
-        congruence as method_congruence,
-        sequence as method_sequence,
-        structural as method_structural,
-        syntactic as method_syntactic,
-    )
-    from repro.smt import congruence, ematch, solver
-    from repro.symbolic import commutation, equivalence, rules
-    from repro.utility import (
-        analysis_ops,
-        circuit_ops,
-        coupling_ops,
-        layout_selection,
-        merge,
-        transforms,
-    )
-    from repro.verify import (
-        counterexample,
-        facts,
-        passes,
-        preprocessor,
-        session,
-        symvalues,
-        templates,
-        verifier,
-    )
-    from repro.verify.discharge import discharge
-
-    return (
-        verifier, preprocessor, session, symvalues, templates, facts,
-        passes, analysis_ops, circuit_ops, coupling_ops,
-        layout_selection, merge, transforms,
-        discharge, equivalence, solver, congruence, ematch,
-        backend, builtin, boundedbackend, z3backend, rulebase, certificate,
-        methods, method_syntactic, method_structural, method_sequence,
-        method_congruence,
-        counterexample,
-        rules, commutation,
-    )
-
-
-def _toolchain_source(module_name: str) -> str:
-    """The text one toolchain module contributes to the hash."""
-    text = module_text(module_name)
-    function = _HASHED_FUNCTIONS.get(module_name)
-    if function is None:
-        return text
-    # The lines inspect.getsource gives for a top-level function.
-    for node in ast.parse(text).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node.name == function:
-            first = node.decorator_list[0].lineno if node.decorator_list else node.lineno
-            return "".join(text.splitlines(keepends=True)[first - 1:node.end_lineno])
-    return ""
-
 
 def toolchain_fingerprint() -> str:
     """Hash of everything a cached verdict depends on besides the pass.
@@ -672,7 +593,7 @@ def toolchain_fingerprint() -> str:
     global _toolchain_memo
     if _toolchain_memo is None:
         sources = "\n".join(
-            _toolchain_source(name) for name in TOOLCHAIN_MODULES
+            module_text(name) for name in TOOLCHAIN_MODULES
             if name not in _RULE_SET_MODULES
         )
         _toolchain_memo = _sha256(
@@ -717,23 +638,33 @@ def _canon_kwarg(value):
     return repr(value)
 
 
+def indexed_class_source(cls) -> Optional[str]:
+    """The class's segment of its module's indexed source, or ``None``.
+
+    The segment runs from ``class`` to the end of the body; ``None`` when
+    the module has no readable file or the file has no such class.
+    """
+    path = module_source_path(cls.__module__)
+    source = source_file(path) if path is not None else None
+    if source is None:
+        return None
+    try:
+        return source.classes.get(cls.__qualname__)
+    except (SyntaxError, ValueError):
+        return None
+
+
 def pass_source(pass_class) -> Optional[str]:
     """The pass's source text, or ``None`` when it cannot be recovered.
 
-    The class body is sliced out of its module's indexed source (the
-    segment from ``class`` to the end of the body).  Dynamically created
-    classes (``exec``/REPL) have no retrievable source; the engine treats
-    them as uncacheable rather than risking a collision.
+    The class body is sliced out of its module's indexed source
+    (:func:`indexed_class_source`).  Dynamically created classes
+    (``exec``/REPL) have no retrievable source; the engine treats them as
+    uncacheable rather than risking a collision.
     """
-    path = module_source_path(pass_class.__module__)
-    source = source_file(path) if path is not None else None
-    if source is not None:
-        try:
-            segment = source.classes.get(pass_class.__qualname__)
-        except (SyntaxError, ValueError):
-            segment = None
-        if segment is not None:
-            return segment
+    segment = indexed_class_source(pass_class)
+    if segment is not None:
+        return segment
     import inspect
 
     try:

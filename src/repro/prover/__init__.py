@@ -14,36 +14,11 @@ lives here:
 * :mod:`repro.prover.certificate` — compact, replayable proof certificates,
   persisted as their own tier in every proof-cache backend.
 
-Importing this package registers the shipped backends.
+The re-exports load on first attribute access (PEP 562), so importing one
+submodule does not load the whole prover.  The shipped backends register
+themselves the first time :func:`~repro.prover.backend.resolve_solver` or
+:func:`~repro.prover.backend.available_solvers` runs.
 """
-
-from repro.prover.backend import (
-    SOLVER_CHOICES,
-    SolverBackend,
-    SolverUnavailable,
-    available_solvers,
-    register_backend,
-    reset_solver_state,
-    resolve_solver,
-)
-from repro.prover import (  # noqa: F401  (registration)
-    boundedbackend,
-    builtin,
-    portfolio,
-    z3backend,
-)
-from repro.prover.boundedbackend import BoundedBackend
-from repro.prover.builtin import BuiltinBackend
-from repro.prover.portfolio import PortfolioBackend
-from repro.prover.certificate import (
-    CERTIFICATE_VERSION,
-    ProofCertificate,
-    ReplayOutcome,
-    replay_certificate,
-)
-from repro.prover.methods import DischargeResult
-from repro.prover.rulebase import RuleBase
-from repro.prover.z3backend import Z3Backend
 
 __all__ = [
     "BoundedBackend",
@@ -64,3 +39,35 @@ __all__ = [
     "reset_solver_state",
     "resolve_solver",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the re-exports load on first use, so that importing one
+    # submodule does not execute the whole package.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.prover.backend import (
+        SOLVER_CHOICES,
+        SolverBackend,
+        SolverUnavailable,
+        available_solvers,
+        register_backend,
+        reset_solver_state,
+        resolve_solver,
+    )
+    from repro.prover.boundedbackend import BoundedBackend
+    from repro.prover.builtin import BuiltinBackend
+    from repro.prover.certificate import (
+        CERTIFICATE_VERSION,
+        ProofCertificate,
+        ReplayOutcome,
+        replay_certificate,
+    )
+    from repro.prover.methods import DischargeResult
+    from repro.prover.portfolio import PortfolioBackend
+    from repro.prover.rulebase import RuleBase
+    from repro.prover.z3backend import Z3Backend
+
+    exports = locals()
+    globals().update((key, exports[key]) for key in __all__ if key in exports)
+    return exports[name]

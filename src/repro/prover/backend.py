@@ -83,10 +83,25 @@ class SolverBackend:
 #: backend's memoised state survives across checks within one process.
 _REGISTRY: Dict[str, Callable[[], SolverBackend]] = {}
 _INSTANCES: Dict[str, SolverBackend] = {}
+_shipped_registered = False
+
+
+def _register_shipped() -> None:
+    """Import the shipped backends once; each module registers itself."""
+    global _shipped_registered
+    if not _shipped_registered:
+        _shipped_registered = True
+        from repro.prover import (  # noqa: F401  (registration)
+            boundedbackend,
+            builtin,
+            portfolio,
+            z3backend,
+        )
 
 
 def register_backend(name: str, factory: Callable[[], SolverBackend]) -> None:
     """Register a backend factory under ``name`` (last registration wins)."""
+    _register_shipped()  # so that a later first use cannot override this one
     _REGISTRY[name] = factory
     _INSTANCES.pop(name, None)
 
@@ -100,6 +115,7 @@ def resolve_solver(name: str = "auto") -> SolverBackend:
     actionable message — callers surface it rather than silently proving
     with a different solver than the one asked for.
     """
+    _register_shipped()
     resolved = "builtin" if name in (None, "", "auto") else str(name)
     factory = _REGISTRY.get(resolved)
     if factory is None:
@@ -119,6 +135,7 @@ def resolve_solver(name: str = "auto") -> SolverBackend:
 
 def available_solvers() -> List[Tuple[str, bool]]:
     """Every registered public backend with its availability."""
+    _register_shipped()
     out: List[Tuple[str, bool]] = []
     for name in sorted(_REGISTRY):
         if "-" in name:

@@ -12,46 +12,14 @@ stage can evolve (and be certified and replayed) independently:
 * :mod:`repro.prover.methods.structural` — termination, coupling,
   routing-structure, and layout library lemmas.
 
-:class:`DischargeResult` is defined here (and re-exported from
-:mod:`repro.verify.discharge`, the stable import path) because every method
+:class:`DischargeResult` is defined beside
+:class:`~repro.verify.session.Subgoal` (so that cache hits rebuild results
+without importing the prover) and re-exported here, since every method
 module constructs it.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
-
-@dataclass
-class DischargeResult:
-    """Outcome of discharging one subgoal."""
-
-    proved: bool
-    method: str
-    reason: str = ""
-    #: The full rule set collected for the goal (reusability accounting
-    #: counts these; the certificate records the *fired* subset).
-    rules_used: Tuple[str, ...] = ()
-    #: Rule instantiations / rewrite steps the solver performed, if any.
-    instantiations: int = 0
-    #: The rules whose instantiation actually contributed (solver stages
-    #: report it; the certificate persists it for replay).
-    rules_fired: Tuple[str, ...] = ()
-    #: The registry name of the backend tier that actually produced the
-    #: verdict (set when the portfolio escalates; ``None`` means the
-    #: discharger's own backend ran the check directly).
-    solver_via: Optional[str] = None
-    #: Attached by :class:`repro.verify.discharge.Discharger`; absent on
-    #: results reconstructed from cache payloads (certificates live in
-    #: their own cache tier).
-    certificate: Optional[object] = None
-
-    def __bool__(self) -> bool:
-        return self.proved
-
-
-from repro.prover.methods import (  # noqa: E402  (needs DischargeResult)
+from repro.verify.session import DischargeResult
+from repro.prover.methods import (
     congruence,
     sequence,
     structural,

@@ -81,11 +81,13 @@ def __getattr__(name):
         MERGE,
         SWAP,
         CircuitRule,
+        default_circuit_rules,
+    )
+    from repro.prover.methods.congruence import (
         apply_sequence,
         apply_term,
         cancellation_rule_for,
         commutation_rule_for,
-        default_circuit_rules,
         gate_term,
         segment_commutation_rule,
         segment_term,

@@ -9,21 +9,20 @@ Rules exist at two levels:
   semantics and the usage-accounting benchmark (Section 8, "Reusability")
   counts.
 * register-level SMT rules — quantified equations over an abstract register
-  term, produced by :func:`register_rules_for` and consumed by the
-  congruence-closure solver when a proof obligation mixes concrete gates with
-  abstract circuit segments (exactly the shape of the CXCancellation goal in
-  Section 6).
+  term, consumed by the solver when a proof obligation mixes concrete gates
+  with abstract circuit segments (exactly the shape of the CXCancellation
+  goal in Section 6).  They are built beside the term encoder that uses
+  them, in :mod:`repro.prover.methods.congruence`, so that this table (which
+  the rule-set fingerprint renders on every run) loads without the solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.circuit.gate import Gate
-from repro.circuit.gates import is_self_inverse
-from repro.smt.terms import CIRCUIT, Rule, Term, app, lit, var
 
 #: Rule classes used for the reusability accounting of Section 8.
 CANCELLATION = "cancellation"
@@ -126,77 +125,3 @@ CANCELLATION_GATES = frozenset(
     {"cx", "h", "x", "y", "z", "cz", "swap", "ccx", "ecr", "s", "sdg", "t", "tdg"}
 )
 
-
-# --------------------------------------------------------------------------- #
-# Register-level SMT rules
-# --------------------------------------------------------------------------- #
-def gate_term(gate: Gate) -> Term:
-    """Encode a concrete gate as a term literal (name, params, qubits)."""
-    return lit(
-        (gate.name, tuple(round(p, 12) for p in gate.params), gate.qubits,
-         gate.condition, gate.q_controls),
-        "Gate",
-    )
-
-
-def apply_term(gate_or_segment: Term, register: Term) -> Term:
-    """``apply(g, Q)``: the register after applying a gate or opaque segment."""
-    return app("apply", gate_or_segment, register, sort=CIRCUIT)
-
-
-def segment_term(name: str) -> Term:
-    """An opaque circuit segment (an unknown sub-circuit such as C1, C2)."""
-    return lit(("segment", name), "Segment")
-
-
-def apply_sequence(elements: Sequence[Term], register: Term) -> Term:
-    """Fold :func:`apply_term` over a sequence of gate/segment terms."""
-    state = register
-    for element in elements:
-        state = apply_term(element, state)
-    return state
-
-
-def cancellation_rule_for(gate: Gate) -> Optional[Rule]:
-    """Quantified register rule ``apply(g, apply(g, Q)) = Q`` when sound."""
-    if gate.is_conditioned() or not is_self_inverse(gate.name):
-        return None
-    register = var("Q", CIRCUIT)
-    encoded = gate_term(gate)
-    return Rule(
-        f"cancel_{gate.name}_{'_'.join(map(str, gate.qubits))}",
-        apply_term(encoded, apply_term(encoded, register)),
-        register,
-    )
-
-
-def commutation_rule_for(first: Gate, second: Gate) -> Rule:
-    """Quantified rule ``apply(b, apply(a, Q)) = apply(a, apply(b, Q))``.
-
-    The caller is responsible for only creating this for pairs that really
-    commute (e.g. justified by :func:`repro.symbolic.commutation.gates_commute`
-    or by a utility-function specification such as ``next_gate``'s).
-    """
-    register = var("Q", CIRCUIT)
-    term_a, term_b = gate_term(first), gate_term(second)
-    return Rule(
-        f"commute_{first.name}_{second.name}",
-        apply_term(term_b, apply_term(term_a, register)),
-        apply_term(term_a, apply_term(term_b, register)),
-    )
-
-
-def segment_commutation_rule(segment_name: str, gate: Gate) -> Rule:
-    """Quantified rule: an opaque segment commutes with a specific gate.
-
-    This is precondition ``P6`` of Section 6: the ``next_gate`` specification
-    guarantees no gate inside the segment shares a qubit with ``gate``.
-    """
-    register = var("Q", CIRCUIT)
-    segment = segment_term(segment_name)
-    encoded = gate_term(gate)
-    return Rule(
-        f"segment_commute_{segment_name}_{gate.name}",
-        apply_term(encoded, apply_term(segment, register)),
-        apply_term(segment, apply_term(encoded, register)),
-    )

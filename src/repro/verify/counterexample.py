@@ -15,19 +15,23 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.circuit import QCircuit
 from repro.circuit.gate import Gate
 from repro.circuit.gates import gate_spec, is_known_gate
 from repro.errors import ReproError, TranspilerError
-from repro.linalg.unitary import circuit_unitary, allclose_up_to_global_phase
 from repro.symbolic.equivalence import strip_final_measurements
 from repro.verify import facts as F
 from repro.verify.session import Subgoal
 from repro.verify.symvalues import Segment, SymGate
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# The dense-matrix oracle (repro.linalg.unitary, hence numpy) is imported
+# by the functions that confirm a candidate: a cached counterexample is
+# rebuilt from QASM alone.
 
 
 @dataclass
@@ -56,6 +60,8 @@ def _condition_clbits(circuit: QCircuit) -> List[int]:
 
 def _unitary_under_assignment(circuit: QCircuit, assignment: Dict[int, int]) -> np.ndarray:
     """Unitary of the circuit when classical bits take the given values."""
+    from repro.linalg.unitary import circuit_unitary
+
     projected = QCircuit(circuit.num_qubits, circuit.num_clbits)
     for gate in circuit:
         if gate.is_measurement() or gate.is_barrier():
@@ -76,6 +82,8 @@ def conditional_circuits_equivalent(left: QCircuit, right: QCircuit, atol: float
     appear in conditions (a compiler cannot assume anything about them).
     Final measurements are ignored on both sides.
     """
+    from repro.linalg.unitary import allclose_up_to_global_phase, circuit_unitary
+
     left = QCircuit(max(left.num_qubits, right.num_qubits), left.num_clbits,
                     gates=strip_final_measurements(left.gates))
     right = QCircuit(max(left.num_qubits, right.num_qubits), right.num_clbits,

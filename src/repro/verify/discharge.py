@@ -34,13 +34,12 @@ from repro.prover.backend import SolverBackend, resolve_solver
 from repro.prover.certificate import ProofCertificate
 from repro.telemetry import trace as _trace
 from repro.prover.methods import (
-    DischargeResult,
     congruence as _congruence,
     sequence as _sequence,
     structural as _structural,
     syntactic as _syntactic,
 )
-from repro.verify.session import Subgoal
+from repro.verify.session import DischargeResult, Subgoal
 
 __all__ = ["DischargeResult", "Discharger", "discharge"]
 

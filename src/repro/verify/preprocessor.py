@@ -18,7 +18,6 @@ executor), so the preprocessor's remaining jobs are the static ones:
 from __future__ import annotations
 
 import ast
-import inspect
 import textwrap
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple, Type
@@ -123,11 +122,21 @@ def _call_name(node: ast.Call) -> Optional[str]:
 
 
 def analyze_pass(pass_class: Type) -> PassAnalysis:
-    """Statically analyse a pass class's ``run`` method."""
-    try:
-        source = inspect.getsource(pass_class)
-    except (OSError, TypeError) as exc:
-        raise UnsupportedPassError(f"cannot retrieve source of {pass_class.__name__}: {exc}")
+    """Statically analyse a pass class's ``run`` method.
+
+    The class source comes from the engine's source index, which parses
+    each module once however many of its classes are analysed.
+    """
+    from repro.engine.fingerprint import indexed_class_source
+
+    source = indexed_class_source(pass_class)
+    if source is None:
+        import inspect
+
+        try:
+            source = inspect.getsource(pass_class)
+        except (OSError, TypeError) as exc:
+            raise UnsupportedPassError(f"cannot retrieve source of {pass_class.__name__}: {exc}")
     source = textwrap.dedent(source)
     tree = ast.parse(source)
     analyzer = _Analyzer()

@@ -40,6 +40,39 @@ class Subgoal:
 
 
 @dataclass
+class DischargeResult:
+    """Outcome of discharging one subgoal.
+
+    Defined beside :class:`Subgoal` so that results rebuilt from the proof
+    cache need no prover import; every discharge method constructs it and
+    :mod:`repro.prover.methods` re-exports it.
+    """
+
+    proved: bool
+    method: str
+    reason: str = ""
+    #: The full rule set collected for the goal (reusability accounting
+    #: counts these; the certificate records the *fired* subset).
+    rules_used: Tuple[str, ...] = ()
+    #: Rule instantiations / rewrite steps the solver performed, if any.
+    instantiations: int = 0
+    #: The rules whose instantiation actually contributed (solver stages
+    #: report it; the certificate persists it for replay).
+    rules_fired: Tuple[str, ...] = ()
+    #: The registry name of the backend tier that actually produced the
+    #: verdict (set when the portfolio escalates; ``None`` means the
+    #: discharger's own backend ran the check directly).
+    solver_via: Optional[str] = None
+    #: Attached by :class:`repro.verify.discharge.Discharger`; absent on
+    #: results reconstructed from cache payloads (certificates live in
+    #: their own cache tier).
+    certificate: Optional[object] = None
+
+    def __bool__(self) -> bool:
+        return self.proved
+
+
+@dataclass
 class PathRecord:
     """Everything that happened on one explored path."""
 

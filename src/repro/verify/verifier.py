@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.circuit.circuit import QCircuit
 from repro.errors import UnsupportedPassError, VerificationError
-from repro.verify import facts as F
-from repro.verify.counterexample import CounterExample, search_counterexample
-from repro.verify.discharge import DischargeResult, discharge
-from repro.verify.facts import Fact
 from repro.verify.preprocessor import PassAnalysis, analyze_pass
-from repro.verify.session import PathExplorer, PathRecord, Subgoal, VerificationSession
+from repro.verify.session import (
+    DischargeResult,
+    PathExplorer,
+    PathRecord,
+    Subgoal,
+    VerificationSession,
+)
 from repro.verify.symvalues import SymCircuit
+
+if TYPE_CHECKING:
+    from repro.verify.counterexample import CounterExample
 
 
 @dataclass
@@ -126,7 +130,7 @@ def verify_pass(
     pass_class: Type,
     pass_kwargs: Optional[Dict] = None,
     counterexample_search: bool = True,
-    discharge_fn: Callable[[Subgoal], DischargeResult] = discharge,
+    discharge_fn: Optional[Callable[[Subgoal], DischargeResult]] = None,
 ) -> VerificationResult:
     """Verify one compiler pass in a push-button fashion.
 
@@ -136,6 +140,8 @@ def verify_pass(
 
     ``discharge_fn`` lets callers interpose on subgoal discharge; the
     verification engine uses this to serve subgoals from its proof cache.
+    It defaults to :func:`repro.verify.discharge.discharge`.  The discharge
+    pipeline and the counterexample search are imported only when used.
     """
     pass_kwargs = dict(pass_kwargs or {})
     started = time.perf_counter()
@@ -183,6 +189,8 @@ def verify_pass(
             time_seconds=time.perf_counter() - started,
         )
 
+    if discharge_fn is None:
+        from repro.verify.discharge import discharge as discharge_fn
     outcomes: List[SubgoalOutcome] = []
     failures: List[str] = []
     for record in records:
@@ -194,6 +202,8 @@ def verify_pass(
 
     counterexample = None
     if failures and counterexample_search:
+        from repro.verify.counterexample import search_counterexample
+
         hint = None
         hint_fn = getattr(pass_class, "counterexample_hint", None)
         if callable(hint_fn):

@@ -24,20 +24,42 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 #: Never needed by an in-process verify over a JSONL store: the concrete
-#: compiler, the benchmarks, a process pool and the sqlite tier.
+#: compiler, the benchmarks, a process pool, the sqlite tier and numpy (the
+#: dense-matrix oracle runs only to confirm a counterexample).
 NEVER = ("networkx", "repro.bench", "repro.dag", "repro.transpiler",
-         "multiprocessing", "sqlite3")
-#: Not needed when every pass is served from the store: the proving kernel.
-NOT_WARM = NEVER + ("repro.smt.arena",)
+         "multiprocessing", "sqlite3", "numpy")
+#: Not needed when every pass is served from the store: the discharge
+#: pipeline, the prover and the solver, and the counterexample search.
+NOT_WARM = NEVER + ("repro.smt.arena", "repro.verify.discharge",
+                    "repro.verify.counterexample", "repro.verify.bounded",
+                    "repro.prover.methods", "repro.prover.certificate",
+                    "repro.smt")
+
+#: Verifies one pass of ``repro.passes.buggy`` by name through the engine
+#: (the command line lists only the shipped passes).
+BUGGY_CHILD = """
+import json, sys
+from repro.engine.driver import default_pass_kwargs, verify_passes
+from repro.passes import buggy
+from repro.verify.report import to_json
+report = verify_passes([getattr(buggy, sys.argv[1])], cache_dir=sys.argv[2],
+                       pass_kwargs_fn=default_pass_kwargs)
+print(json.dumps({"report": json.loads(to_json(report.results, stats=report.stats)),
+                  "modules": sorted(sys.modules)}))
+"""
+
+
+def _child(code, *args):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=300, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def _verify_all(cache_dir):
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD, "verify", "--all", "--format", "json",
-         "--cache-dir", str(cache_dir)],
-        capture_output=True, text=True, env=env, timeout=300, check=True)
-    report = json.loads(out.stdout.strip().splitlines()[-1])
+    report = _child(CHILD, "verify", "--all", "--format", "json",
+                    "--cache-dir", cache_dir)
     assert report["code"] == 0
     return set(report["modules"])
 
@@ -65,3 +87,21 @@ def test_warm_verify_loads_no_kernel_compiler_or_benchmarks(runs):
     _, warm = runs
     assert "repro.engine.driver" in warm
     assert _loaded(warm, NOT_WARM) == []
+
+
+def _without_timings(report):
+    results = [{k: v for k, v in row.items() if k != "time_seconds"}
+               for row in report["results"]]
+    summary = {k: v for k, v in report["summary"].items() if k != "total_seconds"}
+    return results, summary
+
+
+def test_warm_buggy_pass_rebuilds_its_counterexample_without_numpy(tmp_path):
+    cold = _child(BUGGY_CHILD, "BuggyOptimize1qGates", tmp_path)
+    warm = _child(BUGGY_CHILD, "BuggyOptimize1qGates", tmp_path)
+    assert "numpy" in cold["modules"]  # the cold run confirmed it densely
+    assert warm["report"]["engine"]["cache_hits"] == 1
+    assert warm["report"]["results"][0]["counterexample"]["input_qasm"]
+    assert "repro.verify.counterexample" in warm["modules"]
+    assert _loaded(warm["modules"], ("numpy", "repro.prover", "repro.smt")) == []
+    assert _without_timings(warm["report"]) == _without_timings(cold["report"])

@@ -8,8 +8,10 @@ engine computed it before the index existed.
 
 import ast
 import hashlib
+import importlib
 import inspect
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -24,8 +26,8 @@ from repro.engine.fingerprint import (
     rule_set_fingerprint,
     source_file,
     toolchain_fingerprint,
-    toolchain_modules,
 )
+from repro.incremental.deps import import_closure
 from repro.passes import ALL_VERIFIED_PASSES, EXTENSION_PASSES, buggy
 
 BUGGY_PASSES = [
@@ -88,15 +90,67 @@ def test_pass_source_matches_the_inspect_reading(pass_class):
 
 
 def test_toolchain_fingerprint_matches_the_inspect_reading():
-    modules = toolchain_modules()
-    assert [getattr(m, "__module__", None) or m.__name__ for m in modules] \
-        == list(TOOLCHAIN_MODULES)
-    from repro.symbolic import commutation, rules
-
-    sources = "\n".join(inspect.getsource(m) for m in modules
-                        if m not in (rules, commutation))
+    sources = "\n".join(
+        inspect.getsource(importlib.import_module(name))
+        for name in TOOLCHAIN_MODULES
+        if name not in ("repro.symbolic.rules", "repro.symbolic.commutation"))
     assert toolchain_fingerprint() == _sha256(
         f"engine-v{ENGINE_VERSION}\n{rule_set_fingerprint()}\n{sources}")
+
+
+def test_every_toolchain_module_resolves_to_a_file():
+    for name in TOOLCHAIN_MODULES:
+        path = module_source_path(name)
+        assert path is not None, name
+        assert os.path.isfile(path), name
+
+
+#: Modules that ``repro.verify.verifier`` reaches through its imports but
+#: that decide no verdict, so they stay out of the toolchain hash.
+NOT_HASHED = {
+    "repro.verify": "package init: re-exports only",
+    "repro.prover": "package init: re-exports only",
+    "repro.verify.bounded": "bounded validation sweep, reached only through "
+                            "the package re-exports; verify_pass never calls it",
+}
+
+
+def test_verdict_modules_are_all_hashed():
+    # The scan includes function-local imports, so a lazily imported prover
+    # module is found as well as an eager one.
+    closure = import_closure("repro.verify.verifier")
+    unhashed = sorted(
+        name for name in closure
+        if name.startswith(("repro.smt", "repro.prover", "repro.verify"))
+        and name not in TOOLCHAIN_MODULES and name not in NOT_HASHED)
+    assert unhashed == []
+    assert set(NOT_HASHED) <= closure  # no stale allow-list entries
+
+
+@pytest.fixture
+def package_copy(tmp_path, monkeypatch):
+    """A copy of the package that the source index reads instead."""
+    copy = tmp_path / "repro"
+    shutil.copytree(PACKAGE_DIR, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(fingerprint, "_PACKAGE_DIR", str(copy))
+    fingerprint.reset_memos()
+    yield copy
+    fingerprint.reset_memos()
+
+
+@pytest.mark.parametrize("relpath, header", [
+    ("verify/discharge.py", "class Discharger:\n"),
+    ("smt/arena.py", "class ArenaCongruenceClosure:\n"),
+    ("prover/portfolio.py", "class PortfolioBackend(SolverBackend):\n"),
+], ids=["Discharger", "ArenaCongruenceClosure", "PortfolioBackend"])
+def test_editing_a_prover_class_moves_the_toolchain_hash(package_copy, relpath, header):
+    before = toolchain_fingerprint()
+    path = package_copy / relpath
+    text = path.read_text()
+    assert text.count(header) == 1
+    path.write_text(text.replace(header, header + "    edited = True\n"))
+    fingerprint.reset_memos()
+    assert toolchain_fingerprint() != before
 
 
 def test_rule_set_fingerprint_matches_the_inspect_reading():

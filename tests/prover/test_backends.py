@@ -1,6 +1,10 @@
 """The pluggable solver backends: resolution, parity, graceful z3 skip."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,22 @@ def test_public_choices_are_registered():
     names = {name for name, _ in available_solvers()}
     assert {"builtin", "bounded", "z3"} <= names
     assert "auto" in SOLVER_CHOICES
+
+
+def test_shipped_backends_register_on_first_use_and_yield_to_earlier_overrides():
+    # A fresh interpreter: the registry loads the shipped backends lazily,
+    # and a backend registered under a shipped name before that still wins.
+    code = "\n".join([
+        "from repro.prover.backend import SolverBackend, register_backend, resolve_solver",
+        "class Custom(SolverBackend):",
+        "    name = 'custom'",
+        "register_backend('builtin', Custom)",
+        "assert resolve_solver('builtin').name == 'custom'",
+        "assert resolve_solver('bounded').name == 'bounded'",
+    ])
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_z3_resolves_or_fails_gracefully():

@@ -10,7 +10,7 @@ from repro.smt.congruence import CongruenceClosure
 from repro.smt.ematch import instantiate_rules
 from repro.smt.solver import goal_atoms
 from repro.smt.terms import CIRCUIT, Rule, app, eq, lit, var
-from repro.symbolic.rules import apply_sequence, cancellation_rule_for, gate_term
+from repro.prover.methods.congruence import apply_sequence, cancellation_rule_for, gate_term
 from repro.verify import Fact, Subgoal, VerificationSession
 from repro.verify import facts as F
 
@@ -106,7 +106,7 @@ def test_random_rule_banks_match_linear_scan(seed):
 def test_discharge_collected_rules_match_linear_scan():
     """The real thing: rules collected from a verifier subgoal."""
     from repro.prover.methods.congruence import Encoder, FactBase, collect_rules
-    from repro.symbolic.rules import apply_sequence as seq
+    from repro.prover.methods.congruence import apply_sequence as seq
 
     session = VerificationSession()
     session.begin_path(())

@@ -1,10 +1,18 @@
 """Unit tests for the subgoal discharge engine (Section 6's back end)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.circuit import Gate
-from repro.verify import Fact, Subgoal, VerificationSession, discharge
+from repro.verify import Fact, Subgoal, VerificationSession
 from repro.verify import facts as F
+from repro.verify.discharge import discharge
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture
@@ -174,3 +182,23 @@ def test_segment_equivalence_assumptions_are_usable_as_rewrites(session):
     assert discharge(
         _subgoal("equivalence", lhs=(original,), rhs=(refined,), path_facts=facts)
     ).proved
+
+
+# --------------------------------------------------------------------------- #
+# What the name ``repro.verify.discharge`` means
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("first, second", [
+    ("from repro.verify import discharge as a",
+     "import repro.verify.discharge as b"),
+    ("import repro.verify.discharge as a",
+     "from repro.verify import discharge as b"),
+], ids=["package-first", "submodule-first"])
+def test_discharge_names_the_submodule_whatever_is_imported_first(first, second):
+    code = "\n".join([
+        first, second,
+        "import types",
+        "assert a is b, (a, b)",
+        "assert isinstance(a, types.ModuleType) and callable(a.discharge)",
+    ])
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

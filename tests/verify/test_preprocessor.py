@@ -3,8 +3,11 @@
 import pytest
 
 from repro.errors import UnsupportedPassError
+from repro.engine import fingerprint
 from repro.passes import (
     ALL_VERIFIED_PASSES,
+    BUGGY_PASSES,
+    EXTENSION_PASSES,
     BasicSwap,
     CommutativeCancellation,
     CXCancellation,
@@ -101,3 +104,22 @@ def test_class_without_run_or_reason_is_an_error():
 
     with pytest.raises(UnsupportedPassError):
         analyze_pass(NotAPass)
+
+
+def test_dynamic_class_without_source_is_unsupported():
+    namespace = {}
+    exec("class Dynamic:\n    def run(self, c):\n        return c\n", namespace)
+    with pytest.raises(UnsupportedPassError, match="cannot retrieve source of Dynamic: "):
+        analyze_pass(namespace["Dynamic"])
+
+
+@pytest.mark.parametrize(
+    "pass_class",
+    list(ALL_VERIFIED_PASSES) + list(EXTENSION_PASSES) + list(BUGGY_PASSES)
+    + list(UNSUPPORTED_PASSES),
+    ids=lambda cls: cls.__name__)
+def test_source_index_reading_matches_inspect(pass_class, monkeypatch):
+    indexed = analyze_pass(pass_class)
+    # Without the index the preprocessor falls back to inspect.getsource.
+    monkeypatch.setattr(fingerprint, "indexed_class_source", lambda cls: None)
+    assert analyze_pass(pass_class) == indexed
