@@ -92,9 +92,9 @@ from repro.telemetry.bounds import DEFAULT_MIN_SECONDS, DEFAULT_NOISE_PCT
 def _store_errors() -> tuple:
     """The exceptions that mean "the proof store cannot be opened".
 
-    ``sqlite3.Error`` joins once a store has loaded sqlite3; an ``except``
-    clause evaluates this when an exception arrives, so a JSONL-only run
-    never imports sqlite3.
+    ``sqlite3.Error`` joins once the store has loaded sqlite3; an
+    ``except`` clause evaluates this when an exception arrives, so a
+    command that never opened the store does not import sqlite3.
     """
     sqlite3 = sys.modules.get("sqlite3")
     return (OSError,) if sqlite3 is None else (OSError, sqlite3.Error)
@@ -179,7 +179,7 @@ def _record_history(args: argparse.Namespace) -> None:
     stdout is the verification report and is parsed byte-for-byte.
     """
     try:
-        from repro.engine.cache import default_cache_dir
+        from repro.engine.cache import ProofCache, default_cache_dir
         from repro.engine.fingerprint import toolchain_fingerprint
         from repro.telemetry.analyze import load_trace, summarize_trace
         from repro.telemetry.history import TelemetryHistory, git_describe
@@ -190,7 +190,7 @@ def _record_history(args: argparse.Namespace) -> None:
         with TelemetryHistory(directory) as history:
             run_id = history.record_run(
                 summary,
-                stats={"backend": args.backend},
+                stats={"backend": ProofCache.backend},
                 # The run just wrote its canonical store aggregate beside
                 # the cache; fold it into the same history row so tier hit
                 # ratios trend alongside wall time.
@@ -221,7 +221,6 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
                 hostfile=args.cluster,
                 cache_dir=args.cache_dir,
                 use_cache=not args.no_cache,
-                backend=args.backend,
                 pass_kwargs_fn=default_pass_kwargs,
                 changed_paths=args.changed,
                 shard_threshold=args.shard_threshold,
@@ -234,7 +233,6 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
             report = verify_with_fallback(
                 selected,
                 cache_dir=args.cache_dir,
-                backend=args.backend,
                 jobs=jobs,
                 use_cache=not args.no_cache,
                 pass_kwargs_fn=default_pass_kwargs,
@@ -247,7 +245,6 @@ def _run_verify(args, selected, jobs, cluster_mode, tracer) -> int:
                 jobs=jobs,
                 cache_dir=args.cache_dir,
                 use_cache=not args.no_cache,
-                backend=args.backend,
                 pass_kwargs_fn=default_pass_kwargs,
                 changed_paths=args.changed,
                 solver=args.solver,
@@ -311,7 +308,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     watcher = Watcher(
         selected,
         cache_dir=args.cache_dir,
-        backend=args.backend,
         jobs=args.jobs,
         use_daemon=args.daemon,
         pass_kwargs_fn=default_pass_kwargs,
@@ -468,8 +464,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def announce(endpoint):
         print(f"repro daemon listening on {endpoint.address} "
-              f"(backend: {endpoint.backend}, cache: {cache_dir}, "
-              f"pid: {endpoint.pid})")
+              f"(cache: {cache_dir}, pid: {endpoint.pid})")
         print(f"clients discover it via {cache_dir}/daemon.json; "
               f"run `repro verify --daemon --cache-dir {cache_dir}`")
 
@@ -480,8 +475,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("--watch-interval must be > 0", file=sys.stderr)
             return 2
     try:
-        serve(cache_dir=cache_dir, backend=args.backend, host=args.host,
-              port=args.port, jobs=args.jobs, verbose=args.verbose,
+        serve(cache_dir=cache_dir, host=args.host, port=args.port,
+              jobs=args.jobs, verbose=args.verbose,
               watch_interval=watch_interval,
               ready_callback=announce)
     except _store_errors() as exc:
@@ -493,8 +488,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _payload_bytes_suffix(nbytes) -> str:
     """``, N KiB payload`` when the store measured it, else nothing.
 
-    JSONL stores (and daemons predating the field) report no payload
-    size; the line simply stays in its old shape for them.
+    Daemons predating the field report no payload size; the line simply
+    stays in its old shape for them.
     """
     if not isinstance(nbytes, (int, float)) or nbytes <= 0:
         return ""
@@ -504,9 +499,8 @@ def _payload_bytes_suffix(nbytes) -> str:
 def _cmd_status(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.engine.cache import default_cache_dir
+    from repro.engine.cache import ProofCache, default_cache_dir, sqlite_cache_path
     from repro.service.client import connect
-    from repro.service.store import SqliteProofCache, sqlite_cache_path
 
     from repro.service.client import DaemonUnavailable
     from repro.service.protocol import ProtocolError
@@ -566,9 +560,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
                   f"{store.get('cert_accumulated_hits', 0)} accumulated hits"
                   + _payload_bytes_suffix(store.get("cert_payload_bytes")))
         return 0
-    # No daemon: report on the shared store itself, if one exists.
+    # No daemon: report on the store itself, if one exists.
     if sqlite_cache_path(cache_dir).exists():
-        with SqliteProofCache(cache_dir) as store:
+        with ProofCache(cache_dir) as store:
             summary = store.summary()
         if args.format == "json":
             print(json_module.dumps({"daemon": None, "store": summary},
@@ -584,26 +578,24 @@ def _cmd_status(args: argparse.Namespace) -> int:
                   + _payload_bytes_suffix(summary.get("cert_payload_bytes")))
             print("start one with: repro serve")
         return 1
-    print(f"no daemon running for cache {cache_dir} (and no sqlite store yet)",
+    print(f"no daemon running for cache {cache_dir} (and no proof store yet)",
           file=sys.stderr)
     print("start one with: repro serve", file=sys.stderr)
     return 1
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.engine.cache import default_cache_dir, open_proof_cache
+    from repro.engine.cache import default_cache_dir, migrate_jsonl, open_proof_cache
 
     cache_dir = args.cache_dir or str(default_cache_dir())
     if args.cache_command == "migrate":
-        from repro.service.store import migrate_jsonl
-
         try:
             migrated = migrate_jsonl(cache_dir)
         except _store_errors() as exc:
             print(f"cannot open proof cache: {exc}", file=sys.stderr)
             return 2
-        print(f"migrated {migrated} entries from {cache_dir}/proofs.jsonl "
-              f"to {cache_dir}/proofs.sqlite")
+        print(f"migrated {migrated} entries from the JSONL files in "
+              f"{cache_dir} to {cache_dir}/proofs.sqlite")
         return 0
     if args.cache_command == "gc":
         from repro.engine.driver import default_pass_kwargs
@@ -614,14 +606,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             for pass_class in _known_passes().values()
         }
         try:
-            with open_proof_cache(cache_dir, args.backend) as cache:
+            with open_proof_cache(cache_dir) as cache:
                 before = len(cache.deps_snapshot())
                 removed = cache.gc_deps(live)
                 dep_bytes = cache.stats.dep_bytes_reclaimed
         except _store_errors() as exc:
             print(f"cannot open proof cache: {exc}", file=sys.stderr)
             return 2
-        print(f"gc'd {args.backend} dependency index at {cache_dir}: "
+        print(f"gc'd dependency index at {cache_dir}: "
               f"{before} -> {before - removed} entries "
               f"({removed} reclaimed for configurations no longer in any "
               f"suite, {dep_bytes} bytes)")
@@ -631,7 +623,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print("--max-entries must be >= 0", file=sys.stderr)
         return 2
     try:
-        with open_proof_cache(cache_dir, args.backend) as cache:
+        with open_proof_cache(cache_dir) as cache:
             before = len(cache)
             evicted = cache.prune(args.max_entries)
             after = len(cache)
@@ -643,7 +635,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     except _store_errors() as exc:
         print(f"cannot open proof cache: {exc}", file=sys.stderr)
         return 2
-    print(f"pruned {args.backend} cache at {cache_dir}: "
+    print(f"pruned cache at {cache_dir}: "
           f"{before} -> {after} entries ({evicted} evicted, "
           f"{certs_evicted} orphaned certificates dropped, "
           f"{deps_reclaimed} dep rows reclaimed)")
@@ -957,8 +949,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         return 1
     if args.format == "json":
         # The canonical half only, as canonical JSON: this output is the
-        # determinism surface — byte-identical at any worker count and on
-        # either cache backend.
+        # determinism surface — byte-identical at any worker count.
         print(canonical_bytes(payload))
         return 0
     for line in render_stats_table(payload, top=args.top):
@@ -1177,9 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="proof-cache directory (default ~/.cache/repro)")
     verify.add_argument("--no-cache", action="store_true",
                         help="re-prove everything; do not read or write the proof cache")
-    verify.add_argument("--backend", choices=("jsonl", "sqlite"), default="jsonl",
-                        help="proof-cache tier: jsonl (single-writer file) or "
-                             "sqlite (shared store, safe for concurrent clients)")
     verify.add_argument("--solver",
                         choices=("auto", "builtin", "z3", "bounded",
                                  "portfolio"),
@@ -1270,8 +1258,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for re-proofs (0 = auto)")
     watch.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="proof-cache directory (default ~/.cache/repro)")
-    watch.add_argument("--backend", choices=("jsonl", "sqlite"), default="jsonl",
-                       help="proof-cache tier (default jsonl)")
     watch.add_argument("--daemon", action="store_true",
                        help="route re-verification through a running "
                             "`repro serve` daemon (falls back in-process)")
@@ -1285,9 +1271,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="proof-store directory shared with clients "
                             "(default ~/.cache/repro)")
-    serve.add_argument("--backend", choices=("sqlite", "jsonl"), default="sqlite",
-                       help="proof-store tier (default sqlite: safe for "
-                            "many concurrent clients)")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (0 = pick a free port)")
@@ -1314,16 +1297,14 @@ def build_parser() -> argparse.ArgumentParser:
     prune = cache_sub.add_parser("prune", help="evict least-recently-used entries")
     prune.add_argument("--max-entries", type=int, required=True, metavar="N",
                        help="keep at most N entries (LRU across passes and subgoals)")
-    prune.add_argument("--backend", choices=("jsonl", "sqlite"), default="jsonl")
     prune.add_argument("--cache-dir", default=None, metavar="DIR")
     prune.set_defaults(handler=_cmd_cache)
     migrate = cache_sub.add_parser("migrate",
-                                   help="import a JSONL cache into the sqlite store")
+                                   help="import a JSONL cache directory into the sqlite store")
     migrate.add_argument("--cache-dir", default=None, metavar="DIR")
     migrate.set_defaults(handler=_cmd_cache)
     gc = cache_sub.add_parser(
         "gc", help="drop dependency entries for configurations not in any suite")
-    gc.add_argument("--backend", choices=("jsonl", "sqlite"), default="jsonl")
     gc.add_argument("--cache-dir", default=None, metavar="DIR")
     gc.set_defaults(handler=_cmd_cache)
 

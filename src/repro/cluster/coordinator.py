@@ -73,7 +73,7 @@ from repro.engine.driver import (
     record_deferred_deps,
     resolve_pending,
     result_to_payload,
-    store_certificates,
+    store_results,
 )
 from repro.engine.scheduler import default_jobs
 from repro.incremental.deps import identity_key
@@ -389,12 +389,9 @@ class ClusterCoordinator:
                 self._subgoal_log.append((key, value))
         if self.cache is not None:
             with self._store_lock:
-                for key, value in fresh.items():
-                    if not self.cache.has_subgoal(key):
-                        self.cache.put_subgoal(key, value)
-                store_certificates(self.cache,
-                                   message.get("new_certificates") or {})
-                self.cache.touch_subgoals(message.get("subgoal_hit_keys") or [])
+                store_results(self.cache, None, None, fresh,
+                              message.get("new_certificates") or {},
+                              message.get("subgoal_hit_keys") or [])
         with self._counter_lock:
             if local:
                 self.coordinator_units += 1
@@ -613,7 +610,6 @@ def verify_passes_distributed(
     cache=None,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
-    backend: str = "jsonl",
     pass_kwargs_fn=None,
     counterexample_search: bool = True,
     changed_paths=None,
@@ -661,9 +657,9 @@ def verify_passes_distributed(
 
     own_cache = False
     if cache is None and use_cache:
-        cache = open_proof_cache(cache_dir or default_cache_dir(), backend)
+        cache = open_proof_cache(cache_dir or default_cache_dir())
         own_cache = True
-    base_invalidated = 0 if own_cache or cache is None else cache.stats.invalidated
+    base_invalidated = cache.stats.invalidated if cache is not None else 0
     try:
         return _distributed_with_cache(
             pass_classes, stats, cache, kwargs_fn, started, base_invalidated,
@@ -1059,12 +1055,9 @@ def _merge_run_traced(results, pending, plan, scheduler, coordinator, cache,
             # Under the store lock: a still-draining handler thread may be
             # serving a late worker message against the same cache.
             with coordinator._store_lock:
-                cache.put_pass(key, result_to_payload(result))
-                for sub_key, value in acct.new_subgoals.items():
-                    if not cache.has_subgoal(sub_key):
-                        cache.put_subgoal(sub_key, value)
-                store_certificates(cache, acct.new_certificates)
-                cache.touch_subgoals(acct.hit_keys)
+                store_results(cache, key, result_to_payload(result),
+                              acct.new_subgoals, acct.new_certificates,
+                              acct.hit_keys)
         timing_updates[identity_key(pass_class, pass_kwargs)] = \
             result.time_seconds
     stats.cluster["local_units"] = local_count

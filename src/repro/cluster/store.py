@@ -1,16 +1,16 @@
 """The networked proof-store tier: a remote client for the shared cache.
 
-PR 2's :class:`~repro.service.store.SqliteProofCache` let every process *on
+The sqlite :class:`~repro.engine.cache.ProofCache` lets every process *on
 one host* share a warm proof store.  This module extends that tier across
-the network: the coordinator owns the real store (sqlite or JSONL) and
-serves store operations over its cluster connections;
+the network: the coordinator owns the real store and serves store
+operations over its cluster connections;
 :class:`RemoteProofStore` implements the same interface as the local
 backends on the worker side, so a worker on another host hits the one warm
 cache tier the whole fleet shares.
 
 The operation set mirrors the cache interface method-for-method
 (``get_pass``/``put_pass``/``get_subgoal``/``has_subgoal``/``put_subgoal``/
-``subgoal_snapshot``/``touch_subgoals`` plus the dependency sidecar and the
+``subgoal_snapshot``/``touch_subgoals`` plus the dependency index and the
 subgoal-certificate tier), each a single request/response frame.  Workers
 use the per-key ``get_subgoal`` *mid-unit*: a subgoal another worker proved
 after this worker's last lease is served from the coordinator's warm tier
@@ -24,6 +24,7 @@ else (and make the store usable as a drop-in ``cache=`` for
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, List, Optional
 
@@ -78,8 +79,8 @@ def _entry_bytes(entry: Optional[dict]) -> int:
 def serve_store_op(cache, message: Dict, allow_writes: bool = True) -> Dict:
     """Apply one store operation to the local cache; return the reply frame.
 
-    The caller is responsible for serialising access (the JSONL tier is
-    single-writer; the coordinator holds one lock across all connections).
+    The caller is responsible for serialising access (the coordinator
+    holds one lock across all connections).
     ``allow_writes=False`` rejects content-mutating operations — the
     cluster coordinator serves its workers read-only, so "workers never
     write the proof store directly" is enforced here, not just a
@@ -108,9 +109,8 @@ def serve_store_op(cache, message: Dict, allow_writes: bool = True) -> Dict:
 class RemoteProofStore:
     """Proof-cache interface served by a coordinator over one connection.
 
-    Interface-compatible with :class:`~repro.engine.cache.ProofCache` and
-    :class:`~repro.service.store.SqliteProofCache` for everything the
-    engine driver touches.  Not thread-safe: one connection, one caller —
+    Interface-compatible with :class:`~repro.engine.cache.ProofCache` for
+    everything the engine driver touches.  Not thread-safe: one connection, one caller —
     exactly the worker loop's shape.  Note that the cluster coordinator
     serves workers *read-only*; the put methods raise
     :class:`~repro.cluster.transport.TransportError` against it (newly
@@ -148,6 +148,11 @@ class RemoteProofStore:
 
     def reset_io(self) -> None:
         self._io.clear()
+
+    @contextmanager
+    def transaction(self):
+        """Each remote operation is its own request: nothing to group."""
+        yield
 
     def _call(self, op: str, *args):
         self._connection.send({"op": op, "args": list(args)})

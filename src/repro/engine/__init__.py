@@ -18,7 +18,6 @@ __all__ = [
     "SubgoalAccounting",
     "WorkerPool",
     "batch_distinct_configs",
-    "store_certificates",
     "data_dependency_digest",
     "default_cache_dir",
     "default_jobs",
@@ -32,6 +31,7 @@ __all__ = [
     "resolve_pending",
     "result_to_payload",
     "rule_set_fingerprint",
+    "store_results",
     "subgoal_fingerprint",
     "toolchain_fingerprint",
     "unit_fingerprint",
@@ -62,7 +62,7 @@ def __getattr__(name):
         payload_to_result,
         resolve_pending,
         result_to_payload,
-        store_certificates,
+        store_results,
         verify_pass_shard,
         verify_passes,
     )

@@ -30,6 +30,7 @@ from __future__ import annotations
 import importlib
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
@@ -463,8 +464,6 @@ def _install_worker_subgoal_table(table: Dict[str, dict]) -> None:
 
 def _verify_task(task: dict) -> dict:
     """Worker entry point: verify one pass from a picklable task description."""
-    from repro.verify.discharge import Discharger
-
     pass_class = _resolve_class(task["module"], task["qualname"])
 
     def _run() -> Tuple[VerificationResult, SubgoalAccounting]:
@@ -473,7 +472,7 @@ def _verify_task(task: dict) -> dict:
             task["kwargs"],
             task["counterexample_search"],
             dict(_worker_subgoal_table),
-            discharger=Discharger(task.get("solver", DEFAULT_SOLVER)),
+            discharger=_LazyDischarger(task.get("solver", DEFAULT_SOLVER)),
         )
 
     spans = None
@@ -524,8 +523,8 @@ class EngineStats:
     invalidated: int = 0
     wall_seconds: float = 0.0
     cache_dir: Optional[str] = None
-    #: Which proof-cache tier served this run: ``jsonl``, ``sqlite``, or
-    #: ``None`` for stateless (``--no-cache``) runs.
+    #: The proof store that served this run (``sqlite``), or ``None`` for
+    #: stateless (``--no-cache``) runs.
     backend: Optional[str] = None
     #: Which solver backend discharged this run's subgoals (resolved name:
     #: ``builtin``, ``bounded``, ``z3``).
@@ -717,7 +716,6 @@ def verify_passes(
     cache: Optional[ProofCache] = None,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
-    backend: str = "jsonl",
     pass_kwargs_fn: Optional[Callable[[Type], Optional[Dict]]] = None,
     counterexample_search: bool = True,
     share_subgoals: bool = True,
@@ -728,12 +726,10 @@ def verify_passes(
     """Verify a batch of passes in parallel, reusing cached proofs.
 
     ``cache`` takes precedence over ``cache_dir``; with ``use_cache=False``
-    the run is fully stateless (no reads, no writes).  ``backend`` selects
-    the proof-cache tier when the engine opens its own cache: ``"jsonl"``
-    (single-writer file) or ``"sqlite"`` (shared, safe for concurrent
-    clients).  Verdicts are independent of ``jobs``: scheduling only changes
-    wall time.  ``jobs=0`` means "auto": one worker per CPU (capped at 8),
-    the same convention the CLI's ``--jobs 0`` exposes.
+    the run is fully stateless (no reads, no writes).  Verdicts are
+    independent of ``jobs``: scheduling only changes wall time.  ``jobs=0``
+    means "auto": one worker per CPU (capped at 8), the same convention the
+    CLI's ``--jobs 0`` exposes.
 
     ``solver`` selects the :mod:`repro.prover` backend that discharges
     subgoals (``auto`` resolves to the builtin congruence-closure prover).
@@ -769,18 +765,16 @@ def verify_passes(
 
     own_cache = False
     if cache is None and use_cache:
-        cache = open_proof_cache(cache_dir or default_cache_dir(), backend)
+        cache = open_proof_cache(cache_dir or default_cache_dir())
         own_cache = True
-    # An own cache just counted its load-time invalidations and they belong
-    # to this run; a caller-provided (possibly long-lived) cache carries
-    # counters from earlier runs, which must not be re-reported.
-    base_invalidated = 0 if own_cache or cache is None else cache.stats.invalidated
+    # A caller-provided (possibly long-lived) cache carries counters from
+    # earlier runs, which must not be re-reported.
+    base_invalidated = cache.stats.invalidated if cache is not None else 0
     try:
         return _verify_passes_with_cache(
             pass_classes, stats, cache, kwargs_fn, counterexample_search,
             share_subgoals, started, base_invalidated,
             changed_paths=changed_paths, record_deps=record_deps,
-            solver=solver,
         )
     finally:
         if own_cache:
@@ -967,15 +961,45 @@ def record_deferred_deps(cache, deferred, lock=None) -> int:
     return written
 
 
-def store_certificates(cache, certificates: Dict[str, dict]) -> None:
-    """Write freshly minted certificate payloads through to the cache tier."""
-    if cache is None or not certificates:
-        return
-    put = getattr(cache, "put_certificate", None)
-    if put is None:
-        return
-    for key, value in certificates.items():
-        put(key, value)
+def store_results(cache, key: Optional[str], payload: Optional[dict],
+                  new_subgoals: Dict[str, dict], certificates: Dict[str, dict],
+                  hit_keys: Iterable[str]) -> None:
+    """Write one unit of proof work through to the store, as one transaction.
+
+    The pass entry (none when ``key`` is ``None``: a cluster worker's
+    subgoal-only message), the subgoals it proved that the store lacks,
+    their certificates, and the touches of the subgoals it reused.
+    """
+    with cache.transaction():
+        cache.put_pass(key, payload)
+        for sub_key, value in new_subgoals.items():
+            # With private per-pass tables two passes can both "discover"
+            # a shared subgoal; store it once.
+            if not cache.has_subgoal(sub_key):
+                cache.put_subgoal(sub_key, value)
+        for sub_key, value in certificates.items():
+            cache.put_certificate(sub_key, value)
+        cache.touch_subgoals(hit_keys)
+
+
+class _LazyDischarger:
+    """A :class:`~repro.verify.discharge.Discharger` built on first call.
+
+    A run whose pass keys miss but whose subgoal keys all hit (an edit
+    that leaves the proof obligations alone) then never imports the
+    prover.
+    """
+
+    def __init__(self, solver_name: str) -> None:
+        self.solver_name = solver_name
+        self.discharger = None
+
+    def __call__(self, subgoal: Subgoal) -> DischargeResult:
+        if self.discharger is None:
+            from repro.verify.discharge import Discharger
+
+            self.discharger = Discharger(self.solver_name)
+        return self.discharger(subgoal)
 
 
 def _kernel_counters() -> Optional[Dict[str, int]]:
@@ -991,7 +1015,7 @@ def _kernel_counters() -> Optional[Dict[str, int]]:
 def _verify_passes_with_cache(
     pass_classes, stats, cache, kwargs_fn, counterexample_search,
     share_subgoals, started, base_invalidated=0, changed_paths=None,
-    record_deps=True, solver="auto",
+    record_deps=True,
 ) -> EngineReport:
     # Caller-provided caches may carry counters from earlier runs; report
     # only what this run contributed.
@@ -1016,20 +1040,20 @@ def _verify_passes_with_cache(
     # the recorder is fed this run's delta, not the process total.
     kernel_base = _kernel_counters() or {}
 
-    results, pending = resolve_pending(
-        pass_classes, stats, cache, kwargs_fn,
-        changed_paths=changed_paths, record_deps=record_deps,
-        solver=stats.solver, recorder=recorder,
-    )
+    # One transaction for every lookup's hit count and every recorded
+    # dependency entry, instead of a commit per pass.
+    with cache.transaction() if cache is not None else nullcontext():
+        results, pending = resolve_pending(
+            pass_classes, stats, cache, kwargs_fn,
+            changed_paths=changed_paths, record_deps=record_deps,
+            solver=stats.solver, recorder=recorder,
+        )
 
     tracer = _trace.current()
     # The discharge pipeline is built, and the prover imported, only when
-    # some pass must be proved.
-    discharger = None
+    # some subgoal must be proved.
+    discharger = _LazyDischarger(stats.solver)
     if pending:
-        from repro.verify.discharge import Discharger
-
-        discharger = Discharger(solver)
         subgoal_table = cache.subgoal_snapshot() if cache is not None else {}
         if stats.jobs > 1 and len(pending) > 1:
             pool = WorkerPool(stats.jobs, initializer=_install_worker_subgoal_table,
@@ -1068,12 +1092,10 @@ def _verify_passes_with_cache(
                 if tracer is not None and output.get("spans"):
                     tracer.absorb(output["spans"])
                 if cache is not None:
-                    cache.put_pass(key, output["result"])
-                    for sub_key, value in output["new_subgoals"].items():
-                        if not cache.has_subgoal(sub_key):
-                            cache.put_subgoal(sub_key, value)
-                    store_certificates(cache, output.get("new_certificates") or {})
-                    cache.touch_subgoals(output["subgoal_hit_keys"])
+                    store_results(cache, key, output["result"],
+                                  output["new_subgoals"],
+                                  output["new_certificates"],
+                                  output["subgoal_hit_keys"])
         else:
             for index, pass_class, pass_kwargs, key in pending:
                 table = subgoal_table if share_subgoals else dict(subgoal_table)
@@ -1097,17 +1119,13 @@ def _verify_passes_with_cache(
                     recorder.note_unit(acct.hit_keys, acct.new_subgoals.keys())
                     recorder.note_certificates(acct.new_certificates.keys())
                 if cache is not None:
-                    cache.put_pass(key, result_to_payload(result))
-                    for sub_key, value in acct.new_subgoals.items():
-                        # With private per-pass tables two passes can both
-                        # "discover" a shared subgoal; store it once.
-                        if not cache.has_subgoal(sub_key):
-                            cache.put_subgoal(sub_key, value)
-                    store_certificates(cache, acct.new_certificates)
-                    cache.touch_subgoals(acct.hit_keys)
+                    store_results(cache, key, result_to_payload(result),
+                                  acct.new_subgoals, acct.new_certificates,
+                                  acct.hit_keys)
 
     backend_stats = None
-    stats_fn = None if discharger is None else getattr(discharger.backend, "stats", None)
+    built = discharger.discharger
+    stats_fn = None if built is None else getattr(built.backend, "stats", None)
     if callable(stats_fn):
         try:
             backend_stats = stats_fn()

@@ -346,18 +346,26 @@ class SourceFile:
         """Source segment of every class, by qualname, from one parse.
 
         A segment runs from the ``class`` keyword to the end of the body,
-        as :func:`ast.get_source_segment` would cut it; slicing one shared
-        line list keeps fingerprinting the whole suite around 1 ms.
+        as :func:`ast.get_source_segment` would cut it — or, for a
+        decorated class, from the line of its first decorator, as
+        :func:`inspect.getsource` does, so that editing a decorator moves
+        the key.  Slicing one shared line list keeps fingerprinting the
+        whole suite around 1 ms.
         """
         if self._classes is None:
             lines = self.text.splitlines(keepends=True)
             segments: Dict[str, str] = {}
 
-            def segment_of(node: ast.AST) -> str:
-                if node.end_lineno == node.lineno:
-                    return lines[node.lineno - 1][node.col_offset:node.end_col_offset]
-                first = lines[node.lineno - 1][node.col_offset:]
-                middle = lines[node.lineno:node.end_lineno - 1]
+            def segment_of(node: ast.ClassDef) -> str:
+                if node.decorator_list:
+                    # Whole lines from the first decorator, as inspect does.
+                    start, column = node.decorator_list[0].lineno, 0
+                else:
+                    start, column = node.lineno, node.col_offset
+                if node.end_lineno == start:
+                    return lines[start - 1][column:node.end_col_offset]
+                first = lines[start - 1][column:]
+                middle = lines[start:node.end_lineno - 1]
                 last = lines[node.end_lineno - 1][:node.end_col_offset]
                 return "".join([first, *middle, last])
 
@@ -641,8 +649,9 @@ def _canon_kwarg(value):
 def indexed_class_source(cls) -> Optional[str]:
     """The class's segment of its module's indexed source, or ``None``.
 
-    The segment runs from ``class`` to the end of the body; ``None`` when
-    the module has no readable file or the file has no such class.
+    The segment runs from ``class`` (or the first decorator) to the end of
+    the body; ``None`` when the module has no readable file or the file has
+    no such class.
     """
     path = module_source_path(cls.__module__)
     source = source_file(path) if path is not None else None

@@ -9,7 +9,7 @@ the whole suite, even when nothing changed.  This package makes verification
 * :mod:`repro.incremental.deps` maps each verified configuration to the set
   of source files its cache key can possibly depend on (the pass's module,
   its transitive intra-package imports, the toolchain and rule modules),
-  persisted as a schema-versioned sidecar next to the proof cache;
+  persisted in a schema-versioned table of the proof store;
 * :mod:`repro.incremental.detect` turns a set of changed paths — found by
   stdlib mtime/size/sha polling, no third-party watcher — into the minimal
   set of stale configurations;

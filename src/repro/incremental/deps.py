@@ -11,8 +11,8 @@ the toolchain modules listed in
 
 This module computes that file set by walking the import graph over the
 engine's source index (import statements read from the files; nothing is
-imported or executed), and defines the *dependency entry* the proof-cache
-backends persist as a schema-versioned sidecar:
+imported or executed), and defines the *dependency entry* the proof store
+persists in its schema-versioned ``deps`` table:
 
 ``identity key`` → ``{"schema": ..., "fingerprint": ..., "module": ...,
 "qualname": ..., "paths": [...]}``
@@ -41,9 +41,9 @@ from repro.engine.fingerprint import (
 )
 from repro.incremental.detect import normalize_path as _normalize
 
-#: Bump when the dependency-entry layout changes incompatibly; sidecar
-#: records written under another schema are ignored (and rewritten on the
-#: next verification) rather than misread.
+#: Bump when the dependency-entry layout changes incompatibly; rows
+#: written under another schema are ignored (and rewritten on the next
+#: verification) rather than misread.
 DEPS_SCHEMA_VERSION = 1
 
 
@@ -214,21 +214,12 @@ def build_dep_entry(pass_class, pass_kwargs: Optional[Dict],
     }
 
 
-def load_dep_index(directory, backend: str = "jsonl") -> Dict[str, Dict]:
-    """Read the persisted dependency index without loading the proof tier.
+def load_dep_index(directory) -> Dict[str, Dict]:
+    """Read the persisted dependency index (the store's rows load on demand)."""
+    from repro.engine.cache import ProofCache
 
-    The sqlite store is cheap to open (rows load on demand); the JSONL tier
-    would load every proof just to reach the sidecar, so that backend reads
-    ``deps.jsonl`` directly.
-    """
-    if backend == "sqlite":
-        from repro.service.store import SqliteProofCache
-
-        with SqliteProofCache(directory) as store:
-            return store.deps_snapshot()
-    from repro.engine.cache import read_deps_sidecar
-
-    return read_deps_sidecar(directory)
+    with ProofCache(directory) as store:
+        return store.deps_snapshot()
 
 
 def dep_index_paths(dep_index: Dict[str, Dict]) -> List[str]:

@@ -1,16 +1,16 @@
-"""The verification service tier: a shared proof store and a resident daemon.
+"""The verification service tier: a resident daemon over the proof store.
 
 PR 1's engine made one process fast; this package makes *many* processes
-share that speed.  Three layers:
+share that speed.  They all share one store, the sqlite
+:class:`~repro.engine.cache.ProofCache` (WAL mode, safe for concurrent
+readers and writers), and this package adds two layers on top of it:
 
-* :mod:`repro.service.store` — a sqlite-backed proof cache (WAL mode, safe
-  for concurrent readers and writers) with the same interface as the JSONL
-  :class:`~repro.engine.cache.ProofCache`, plus a one-shot JSONL migration;
 * :mod:`repro.service.daemon` — a long-lived localhost server that keeps the
   rule set, the toolchain fingerprint, and the proof store warm across
   requests, dispatching jobs through the engine scheduler;
 * :mod:`repro.service.client` — the JSON wire client with request batching,
-  timeouts, and graceful fallback to in-process verification.
+  timeouts, and graceful fallback to in-process verification over the same
+  store.
 
 ``repro serve`` / ``repro status`` / ``repro verify --daemon`` are the CLI
 entry points; ``PassManager(verify_first=True, verify_daemon=True)`` is the
@@ -32,12 +32,6 @@ from repro.service.protocol import (
     read_state,
     write_state,
 )
-from repro.service.store import (
-    SCHEMA_VERSION,
-    SqliteProofCache,
-    migrate_jsonl,
-    sqlite_cache_path,
-)
 
 __all__ = [
     "DaemonClient",
@@ -46,15 +40,11 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProofDaemon",
     "ProtocolError",
-    "SCHEMA_VERSION",
-    "SqliteProofCache",
     "VerificationService",
     "connect",
-    "migrate_jsonl",
     "pass_registry",
     "read_state",
     "serve",
-    "sqlite_cache_path",
     "verify_with_fallback",
     "write_state",
 ]

@@ -85,9 +85,8 @@ class VerificationService:
     """The daemon's verification core, independent of the HTTP layer."""
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None,
-                 backend: str = "sqlite", jobs: int = 1) -> None:
+                 jobs: int = 1) -> None:
         self.cache_dir = Path(cache_dir or default_cache_dir())
-        self.backend = backend
         self.jobs = jobs
         self.started_at = time.time()
         self.requests_served = 0
@@ -105,7 +104,7 @@ class VerificationService:
         self.registry = pass_registry()
         rule_set_fingerprint()
         self.toolchain = toolchain_fingerprint()
-        self.cache = open_proof_cache(self.cache_dir, backend)
+        self.cache = open_proof_cache(self.cache_dir)
         #: Set by :func:`serve` when the opt-in background file watcher is
         #: running (``repro serve --watch``).
         self.watcher: Optional["DaemonWatcher"] = None
@@ -252,7 +251,7 @@ class VerificationService:
         with self._counter_lock:
             return {
                 "pid": os.getpid(),
-                "backend": self.backend,
+                "backend": self.cache.backend,
                 "cache_dir": str(self.cache_dir),
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "requests_served": self.requests_served,
@@ -270,12 +269,7 @@ class VerificationService:
             "cycles": watcher.cycles,
             "prewarmed": watcher.prewarmed,
         }
-        summary = getattr(self.cache, "summary", None)
-        if summary is not None:
-            payload["store"] = summary()
-        else:
-            payload["store"] = {"backend": getattr(self.cache, "backend", None),
-                                "entries_live": len(self.cache)}
+        payload["store"] = self.cache.summary()
         payload["counters"] = self.counters.snapshot()
         return payload
 
@@ -564,7 +558,6 @@ class ProofDaemon(ThreadingHTTPServer):
             port=self.server_address[1],
             token=self.token,
             pid=os.getpid(),
-            backend=service.backend,
             cache_dir=str(service.cache_dir),
         )
         write_state(service.cache_dir, self.endpoint)
@@ -588,7 +581,7 @@ class ProofDaemon(ThreadingHTTPServer):
         self.close()
 
 
-def serve(cache_dir: Optional[os.PathLike] = None, backend: str = "sqlite",
+def serve(cache_dir: Optional[os.PathLike] = None,
           host: str = "127.0.0.1", port: int = 0, jobs: int = 1,
           verbose: bool = False,
           watch_interval: Optional[float] = None,
@@ -607,7 +600,7 @@ def serve(cache_dir: Optional[os.PathLike] = None, backend: str = "sqlite",
     """
     import signal
 
-    service = VerificationService(cache_dir=cache_dir, backend=backend, jobs=jobs)
+    service = VerificationService(cache_dir=cache_dir, jobs=jobs)
     with ProofDaemon(service, host=host, port=port, verbose=verbose) as server:
         watcher = None
         if watch_interval is not None:

@@ -106,7 +106,6 @@ class DaemonEndpoint:
     port: int
     token: str
     pid: int
-    backend: str
     cache_dir: str
     protocol_version: int = PROTOCOL_VERSION
 
@@ -147,7 +146,6 @@ def read_state(cache_dir: os.PathLike) -> Optional[DaemonEndpoint]:
             port=int(payload["port"]),
             token=payload["token"],
             pid=int(payload["pid"]),
-            backend=payload.get("backend", "sqlite"),
             cache_dir=payload.get("cache_dir", str(cache_dir)),
         )
     except (OSError, ValueError, KeyError, TypeError):

@@ -7,7 +7,8 @@ schema-versioned sqlite database living alongside the proof cache
 :func:`~repro.telemetry.analyze.summarize_trace` digest after every traced
 ``repro verify`` — automatically, unless ``--no-history`` says otherwise.
 
-Design mirrors :class:`repro.service.store.SqliteProofCache` deliberately:
+Design mirrors the proof store (:class:`repro.engine.cache.ProofCache`)
+deliberately:
 
 * WAL journal + generous busy timeout, autocommit statements under one
   re-entrant lock, so a cluster coordinator and a concurrent CLI run can

@@ -9,8 +9,7 @@ The aggregate has two sections with very different guarantees:
 
 * ``canonical`` — derived purely from the run's *facts* (which pass keys
   hit or missed, which subgoal keys each unit touched, which were proved
-  this run) and therefore **byte-identical at any worker count and on
-  either cache backend**.  The rule that makes this work: a subgoal key
+  this run) and therefore **byte-identical at any worker count**.  The rule that makes this work: a subgoal key
   accessed ``a`` times is charged 1 miss and ``a - 1`` hits when it was
   proved this run, and ``a`` hits otherwise (it must have been warm).
   Under cluster snapshot staleness two units may both prove the same key;
@@ -71,7 +70,7 @@ def evictions_path(directory) -> str:
 def append_evictions(directory, entries: Iterable[Tuple[str, str]]) -> int:
     """Journal evicted ``(tier, key)`` pairs beside the cache.
 
-    Both cache backends call this from ``prune``; a later run's recorder
+    The proof store calls this from ``prune``; a later run's recorder
     consumes the journal to count evicted-then-re-missed keys.
     """
     lines = [json.dumps({"tier": tier, "key": key}, sort_keys=True)
@@ -128,7 +127,7 @@ class StatsRecorder:
 
     The canonical inputs arrive from the driver (pass-tier outcomes from
     ``resolve_pending``, per-unit subgoal access lists, stored certificate
-    keys); the local section accumulates from the cache backends' own
+    keys); the local section accumulates from the proof store's own
     ``note_io`` hooks and from worker-shipped ``store_io`` deltas.
     """
 

@@ -114,13 +114,13 @@ def test_verify_jobs_help_documents_auto():
 
 def test_verify_sqlite_backend(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
-    assert main(["verify", "CXCancellation", "--backend", "sqlite",
+    assert main(["verify", "CXCancellation",
                  "--cache-dir", cache_dir, "--format", "json"]) == 0
     cold = json.loads(capsys.readouterr().out)
     assert cold["engine"]["backend"] == "sqlite"
     assert cold["engine"]["cache_misses"] == 1
     assert (tmp_path / "cache" / "proofs.sqlite").exists()
-    assert main(["verify", "CXCancellation", "--backend", "sqlite",
+    assert main(["verify", "CXCancellation",
                  "--cache-dir", cache_dir, "--format", "json"]) == 0
     warm = json.loads(capsys.readouterr().out)
     assert warm["engine"]["cache_hits"] == 1
@@ -129,7 +129,7 @@ def test_verify_sqlite_backend(tmp_path, capsys):
 # --------------------------------------------------------------------------- #
 # cache maintenance / status
 # --------------------------------------------------------------------------- #
-def test_cache_prune_jsonl(tmp_path, capsys):
+def test_cache_prune_to_a_bound(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     assert main(["verify", "CXCancellation", "Width", "--cache-dir", cache_dir,
                  "--format", "json"]) == 0
@@ -143,10 +143,10 @@ def test_cache_prune_jsonl(tmp_path, capsys):
 
 def test_cache_prune_sqlite(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
-    assert main(["verify", "CXCancellation", "--backend", "sqlite",
+    assert main(["verify", "CXCancellation",
                  "--cache-dir", cache_dir, "--format", "json"]) == 0
     capsys.readouterr()
-    assert main(["cache", "prune", "--max-entries", "0", "--backend", "sqlite",
+    assert main(["cache", "prune", "--max-entries", "0",
                  "--cache-dir", cache_dir]) == 0
     assert "-> 0 entries" in capsys.readouterr().out
 
@@ -158,15 +158,24 @@ def test_cache_prune_rejects_negative(tmp_path, capsys):
 
 
 def test_cache_migrate_then_sqlite_warm(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
-    # Populate the JSONL tier, migrate, then hit warm through sqlite.
-    assert main(["verify", "CXCancellation", "--cache-dir", cache_dir,
+    from repro.engine.cache import ProofCache
+
+    # Write a directory in the retired JSONL layout from a proved run,
+    # migrate it, then hit warm through sqlite.
+    assert main(["verify", "CXCancellation", "--cache-dir", str(tmp_path / "proved"),
                  "--format", "json"]) == 0
     capsys.readouterr()
-    assert main(["cache", "migrate", "--cache-dir", cache_dir]) == 0
-    assert "migrated" in capsys.readouterr().out
-    assert main(["verify", "CXCancellation", "--backend", "sqlite",
-                 "--cache-dir", cache_dir, "--format", "json"]) == 0
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    with ProofCache(tmp_path / "proved") as store:
+        records = [{"kind": kind, "key": key, "fp": store.active_fingerprint,
+                    "value": value} for kind, key, value in store.entries()]
+    (cache_dir / "proofs.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in records))
+    assert main(["cache", "migrate", "--cache-dir", str(cache_dir)]) == 0
+    assert f"migrated {len(records)} entries" in capsys.readouterr().out
+    assert main(["verify", "CXCancellation",
+                 "--cache-dir", str(cache_dir), "--format", "json"]) == 0
     warm = json.loads(capsys.readouterr().out)
     assert warm["engine"]["cache_hits"] == 1
     assert warm["engine"]["cache_misses"] == 0
@@ -186,7 +195,7 @@ def test_status_without_daemon_or_store(tmp_path, capsys):
 
 def test_status_reports_offline_store(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
-    assert main(["verify", "Width", "--backend", "sqlite",
+    assert main(["verify", "Width",
                  "--cache-dir", cache_dir, "--format", "json"]) == 0
     capsys.readouterr()
     assert main(["status", "--cache-dir", cache_dir]) == 1

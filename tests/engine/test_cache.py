@@ -1,7 +1,5 @@
 """Proof-cache persistence, hit/miss accounting, invalidation, and eviction."""
 
-import json
-
 import pytest
 
 from repro.engine.cache import ProofCache, default_cache_dir, open_proof_cache
@@ -30,43 +28,18 @@ def test_persistence_across_instances(tmp_path):
     reopened.close()
 
 
-def test_last_write_wins_and_compaction(tmp_path):
-    with ProofCache(tmp_path) as cache:
-        for round_number in range(5):
-            cache.put_pass("pk", {"round": round_number})
-    cache = ProofCache(tmp_path)
-    assert cache.get_pass("pk") == {"round": 4}
-    cache.compact()
-    cache.close()
-    lines = (tmp_path / "proofs.jsonl").read_text().strip().splitlines()
-    assert len(lines) == 1
-
-
 def test_entries_from_other_toolchains_are_invalidated(tmp_path):
     with ProofCache(tmp_path) as cache:
         cache.put_pass("current", {"verified": True})
-    # Hand-write an entry stamped with a different rule-set fingerprint,
-    # simulating a cache produced by an older prover.
-    stale = {"kind": "pass", "key": "stale", "fp": "0" * 64, "value": {"verified": False}}
-    with open(tmp_path / "proofs.jsonl", "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(stale) + "\n")
+    # An entry stamped with a different rule-set fingerprint, simulating a
+    # cache produced by an older prover.
+    with ProofCache(tmp_path, active_fingerprint="0" * 64) as older:
+        older.put_pass("stale", {"verified": False})
     reopened = ProofCache(tmp_path)
     assert reopened.get_pass("stale") is None
     assert reopened.get_pass("current") is not None
     assert reopened.stats.invalidated == 1
     assert reopened.active_fingerprint == toolchain_fingerprint()
-    reopened.close()
-
-
-def test_corrupt_lines_are_skipped(tmp_path):
-    with ProofCache(tmp_path) as cache:
-        cache.put_pass("good", {"verified": True})
-    with open(tmp_path / "proofs.jsonl", "a", encoding="utf-8") as handle:
-        handle.write("this is not json\n")
-        handle.write('{"kind": "pass", "missing": "fields"}\n')
-    reopened = ProofCache(tmp_path)
-    assert reopened.get_pass("good") == {"verified": True}
-    assert reopened.stats.corrupt_lines == 2
     reopened.close()
 
 
@@ -98,36 +71,6 @@ def test_prune_recency_survives_reopen(tmp_path):
         assert cache.prune(1) == 1
         assert cache.get_pass("old") is not None
         assert cache.get_pass("new") is None
-
-
-def test_warm_reads_append_touch_records_without_rewriting(tmp_path):
-    """Recency must be durable *and* cheap: a warm run appends small touch
-    records (at most twice per key — once at first hit, once at close when
-    the hit total advanced) instead of rewriting the file, so concurrent
-    appenders are never clobbered by a read-mostly client's close."""
-    with ProofCache(tmp_path) as cache:
-        cache.put_pass("a", {"n": 0})
-        cache.put_pass("b", {"n": 1})
-    before = (tmp_path / "proofs.jsonl").read_text()
-    with ProofCache(tmp_path) as cache:
-        cache.get_pass("a")
-        cache.get_pass("a")       # second hit: no record until close
-        cache.flush()
-        mid = (tmp_path / "proofs.jsonl").read_text()
-        assert len(mid[len(before):].strip().splitlines()) == 1
-    after = (tmp_path / "proofs.jsonl").read_text()
-    assert after.startswith(before)       # append-only, original lines intact
-    added = [json.loads(line) for line in
-             after[len(before):].strip().splitlines()]
-    # First hit journals recency immediately; close flushes the advanced
-    # hit total as one more record (absolute count, last write wins).
-    assert added == [
-        {"kind": "touch", "key": "a", "ref": "pass", "hits": 1},
-        {"kind": "touch", "key": "a", "ref": "pass", "hits": 2},
-    ]
-    with ProofCache(tmp_path) as cache:
-        assert cache.hit_count("pass", "a") == 2
-        assert cache.hit_count("pass", "b") == 0
 
 
 def test_touch_subgoals_refreshes_snapshot_served_entries(tmp_path):
@@ -164,16 +107,13 @@ def test_prune_in_memory_cache(tmp_path):
 
 
 def test_open_proof_cache_backends(tmp_path):
-    from repro.service.store import SqliteProofCache
-
-    with open_proof_cache(tmp_path / "j", "jsonl") as cache:
+    """There is one store: no backend to choose."""
+    with open_proof_cache(tmp_path) as cache:
         assert isinstance(cache, ProofCache)
-        assert cache.backend == "jsonl"
-    with open_proof_cache(tmp_path / "s", "sqlite") as cache:
-        assert isinstance(cache, SqliteProofCache)
         assert cache.backend == "sqlite"
-    with pytest.raises(ValueError):
-        open_proof_cache(tmp_path, "redis")
+        assert cache.path == tmp_path / "proofs.sqlite"
+    with pytest.raises(TypeError):
+        open_proof_cache(tmp_path, backend="jsonl")
 
 
 def test_invalidated_is_per_run_not_cumulative(tmp_path):
@@ -182,15 +122,13 @@ def test_invalidated_is_per_run_not_cumulative(tmp_path):
     from repro.engine import verify_passes
     from repro.passes import Width
 
-    stale = {"kind": "pass", "key": "stale", "fp": "0" * 64, "value": {}}
-    (tmp_path / "proofs.jsonl").write_text(json.dumps(stale) + "\n")
-    # Own-cache run: the load-time invalidation belongs to this run.
-    report = verify_passes([Width], cache_dir=str(tmp_path))
-    assert report.stats.invalidated == 1
-    # Long-lived cache: the invalidation was counted when the cache loaded,
-    # before this run — the run itself invalidated nothing.
+    with ProofCache(tmp_path, active_fingerprint="0" * 64) as older:
+        older.put_pass("stale", {})
     with ProofCache(tmp_path) as cache:
+        assert cache.get_pass("stale") is None
         assert cache.stats.invalidated == 1
+        # The invalidation was counted before this run; the run itself
+        # invalidated nothing.
         report = verify_passes([Width], cache=cache)
         assert report.stats.invalidated == 0
 
@@ -217,23 +155,6 @@ def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_CACHE_DIR")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert default_cache_dir() == tmp_path / "xdg" / "repro"
-
-
-def test_hit_counts_survive_compaction(tmp_path):
-    """Compaction folds the touch journal's totals into the entry records;
-    the counter must read the same before and after the rewrite."""
-    with ProofCache(tmp_path) as cache:
-        cache.put_pass("a", {"n": 0})
-    with ProofCache(tmp_path) as cache:
-        for _ in range(3):
-            cache.get_pass("a")
-    with ProofCache(tmp_path) as cache:
-        assert cache.hit_count("pass", "a") == 3
-        cache.compact()
-        assert cache.hit_count("pass", "a") == 3
-    with ProofCache(tmp_path) as cache:
-        assert cache.hit_count("pass", "a") == 3
-        assert cache.accumulated_hits() == 3
 
 
 def test_prune_reports_reclaimed_bytes_and_journals_evictions(tmp_path):

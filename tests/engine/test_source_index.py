@@ -22,6 +22,7 @@ from repro.engine.fingerprint import (
     ENGINE_VERSION,
     TOOLCHAIN_MODULES,
     module_source_path,
+    pass_fingerprint,
     pass_source,
     rule_set_fingerprint,
     source_file,
@@ -211,3 +212,32 @@ def test_edited_file_is_read_again(tmp_path):
     assert set(second.classes) == {"A", "B"}
     fingerprint.reset_source_index()
     assert source_file(str(path)) is not second
+
+
+def test_editing_a_class_decorator_moves_the_pass_fingerprint(tmp_path, monkeypatch):
+    """A decorator is part of the pass's source, as ``inspect`` reads it:
+    editing one must re-prove the pass, not serve the old verdict warm."""
+    module = tmp_path / "decorated_passes.py"
+    template = (
+        "def tag(label):\n"
+        "    return lambda cls: cls\n"
+        "\n"
+        "\n"
+        "@tag({label!r})\n"
+        "class Decorated:\n"
+        "    def run(self, dag):\n"
+        "        return dag\n"
+    )
+    module.write_text(template.format(label="before"))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        decorated = importlib.import_module("decorated_passes").Decorated
+        assert pass_source(decorated) == inspect.getsource(decorated).rstrip("\n")
+        before = pass_fingerprint(decorated)
+        stamp = os.stat(module).st_mtime_ns
+        module.write_text(template.format(label="after"))
+        os.utime(module, ns=(stamp + 10**9, stamp + 10**9))
+        assert pass_fingerprint(decorated) != before
+    finally:
+        sys.modules.pop("decorated_passes", None)
+        fingerprint.reset_source_index()

@@ -1,12 +1,10 @@
-"""Dependency-index construction and persistence across both cache backends."""
+"""Dependency-index construction and persistence in the proof store."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from repro.engine.cache import ProofCache
 from repro.engine.fingerprint import pass_fingerprint
@@ -19,7 +17,6 @@ from repro.incremental.deps import (
     toolchain_dependency_paths,
 )
 from repro.passes import CommutationAnalysis, CXCancellation, Depth
-from repro.service.store import SqliteProofCache
 
 
 # --------------------------------------------------------------------------- #
@@ -109,92 +106,46 @@ def test_build_dep_entry_shape():
 # --------------------------------------------------------------------------- #
 # Persistence
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_dep_index_persists_across_reopen(tmp_path, backend):
-    def open_cache():
-        if backend == "jsonl":
-            return ProofCache(tmp_path)
-        return SqliteProofCache(tmp_path)
-
+def test_dep_index_persists_across_reopen(tmp_path):
     entry = build_dep_entry(Depth, None, pass_fingerprint(Depth))
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         assert cache.get_deps("ident-1") is None
         cache.put_deps("ident-1", entry)
         assert cache.get_deps("ident-1") == entry
 
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         assert cache.get_deps("ident-1") == entry
         assert cache.deps_snapshot() == {"ident-1": entry}
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_dep_index_last_write_wins(tmp_path, backend):
-    def open_cache():
-        if backend == "jsonl":
-            return ProofCache(tmp_path)
-        return SqliteProofCache(tmp_path)
-
+def test_dep_index_last_write_wins(tmp_path):
     first = build_dep_entry(Depth, None, "fp-old")
     second = build_dep_entry(Depth, None, "fp-new")
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         cache.put_deps("ident", first)
         cache.put_deps("ident", second)
         assert cache.get_deps("ident")["fingerprint"] == "fp-new"
-    with open_cache() as cache:
+    with ProofCache(tmp_path) as cache:
         assert cache.get_deps("ident")["fingerprint"] == "fp-new"
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_foreign_schema_entries_are_invisible(tmp_path, backend):
+def test_foreign_schema_entries_are_invisible(tmp_path):
     entry = build_dep_entry(Depth, None, pass_fingerprint(Depth))
     foreign = dict(entry, schema=DEPS_SCHEMA_VERSION + 1)
-    if backend == "jsonl":
-        with ProofCache(tmp_path) as cache:
-            cache.put_deps("ok", entry)
-        # A record written by a future schema lands in the same sidecar.
-        with open(tmp_path / "deps.jsonl", "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"key": "future", "value": foreign}) + "\n")
-        with ProofCache(tmp_path) as cache:
-            assert cache.get_deps("future") is None
-            assert cache.get_deps("ok") == entry
-            assert "future" not in cache.deps_snapshot()
-    else:
-        with SqliteProofCache(tmp_path) as cache:
-            cache.put_deps("ok", entry)
-            cache._conn.execute(
-                "INSERT INTO deps (key, schema, value, updated_at) "
-                "VALUES ('future', ?, ?, 0)",
-                (DEPS_SCHEMA_VERSION + 1, json.dumps(foreign)),
-            )
-        with SqliteProofCache(tmp_path) as cache:
-            assert cache.get_deps("future") is None
-            assert "future" not in cache.deps_snapshot()
-            # prune reaps foreign-schema rows
-            cache.put_pass("p", {"verified": True})
-            cache.prune(10)
-            row = cache._conn.execute(
-                "SELECT COUNT(*) FROM deps WHERE key = 'future'").fetchone()
-            assert row[0] == 0
-
-
-def test_jsonl_corrupt_dep_lines_are_skipped(tmp_path):
-    entry = build_dep_entry(Depth, None, "fp")
     with ProofCache(tmp_path) as cache:
         cache.put_deps("ok", entry)
-    with open(tmp_path / "deps.jsonl", "a", encoding="utf-8") as handle:
-        handle.write("not json at all\n")
-        handle.write('{"key": "half"}\n')
+        cache._conn.execute(
+            "INSERT INTO deps (key, schema, value, updated_at) "
+            "VALUES ('future', ?, ?, 0)",
+            (DEPS_SCHEMA_VERSION + 1, json.dumps(foreign)),
+        )
     with ProofCache(tmp_path) as cache:
-        assert cache.deps_snapshot() == {"ok": entry}
-        assert cache.stats.corrupt_lines == 2
-
-
-def test_jsonl_identical_put_does_not_grow_sidecar(tmp_path):
-    entry = build_dep_entry(Depth, None, "fp")
-    with ProofCache(tmp_path) as cache:
-        cache.put_deps("ok", entry)
-    size_after_first = (tmp_path / "deps.jsonl").stat().st_size
-    for _ in range(5):
-        with ProofCache(tmp_path) as cache:
-            cache.put_deps("ok", dict(entry))
-    assert (tmp_path / "deps.jsonl").stat().st_size == size_after_first
+        assert cache.get_deps("future") is None
+        assert cache.get_deps("ok") == entry
+        assert "future" not in cache.deps_snapshot()
+        # prune reaps foreign-schema rows
+        cache.put_pass("p", {"verified": True})
+        cache.prune(10)
+        row = cache._conn.execute(
+            "SELECT COUNT(*) FROM deps WHERE key = 'future'").fetchone()
+        assert row[0] == 0

@@ -1,4 +1,4 @@
-"""Concurrent access to the shared sqlite store.
+"""Concurrent access to the shared sqlite proof store.
 
 Two shapes of concurrency, both from genuinely separate processes:
 
@@ -15,14 +15,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.service.store import SqliteProofCache
+from repro.engine.cache import ProofCache
 
 FP = "a" * 64
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _writer(directory, worker_id, entries, reads):
-    cache = SqliteProofCache(directory, active_fingerprint=FP)
+    cache = ProofCache(directory, active_fingerprint=FP)
     try:
         for index in range(entries):
             cache.put_pass(f"w{worker_id}-p{index}", {"worker": worker_id, "index": index})
@@ -44,7 +44,7 @@ def test_many_processes_share_one_store(tmp_path):
     for process in processes:
         process.join(timeout=60)
         assert process.exitcode == 0
-    with SqliteProofCache(tmp_path, active_fingerprint=FP) as cache:
+    with ProofCache(tmp_path, active_fingerprint=FP) as cache:
         # Every private entry survived, plus the contended shared key.
         assert len(cache) == workers * entries + 1
         for worker_id in range(workers):
@@ -65,7 +65,7 @@ def _run_verify(cache_dir, extra=()):
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "verify",
          "CXCancellation", "Width", "RemoveBarriers", "CommutationAnalysis",
-         "--backend", "sqlite", "--cache-dir", str(cache_dir),
+         "--cache-dir", str(cache_dir),
          "--format", "json", *extra],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )

@@ -15,7 +15,7 @@ from repro.service.protocol import DaemonEndpoint, make_pass_spec, read_state
 @pytest.fixture
 def daemon(tmp_path):
     """A live daemon over a sqlite store in ``tmp_path``, torn down after."""
-    service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    service = VerificationService(cache_dir=tmp_path)
     server = ProofDaemon(service)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
@@ -79,7 +79,7 @@ def test_bad_token_is_rejected(daemon, tmp_path):
     endpoint = read_state(tmp_path)
     intruder = DaemonClient(DaemonEndpoint(
         host=endpoint.host, port=endpoint.port, token="wrong",
-        pid=endpoint.pid, backend=endpoint.backend, cache_dir=endpoint.cache_dir,
+        pid=endpoint.pid, cache_dir=endpoint.cache_dir,
     ))
     from repro.service.client import DaemonUnavailable
 
@@ -149,16 +149,16 @@ def test_cli_status_against_live_daemon(daemon, tmp_path, capsys):
     assert payload["store"]["schema_version"] >= 1
 
 
-def test_warm_daemon_hit_rate_matches_warm_jsonl(daemon, tmp_path, capsys):
+def test_warm_daemon_hit_rate_matches_warm_in_process(daemon, tmp_path, capsys):
     """Acceptance: ``verify --all`` against a warm daemon serves at least the
-    hit rate of the in-process warm JSONL path."""
-    jsonl_dir = str(tmp_path / "jsonl-tier")
+    hit rate of the in-process warm path."""
+    local_dir = str(tmp_path / "in-process")
     for _ in range(2):
-        assert main(["verify", "--all", "--cache-dir", jsonl_dir,
+        assert main(["verify", "--all", "--cache-dir", local_dir,
                      "--format", "json"]) == 0
-        jsonl_warm = json.loads(capsys.readouterr().out)
-    assert jsonl_warm["engine"]["backend"] == "jsonl"
-    jsonl_rate = jsonl_warm["engine"]["cache_hits"] / jsonl_warm["engine"]["passes_total"]
+        local_warm = json.loads(capsys.readouterr().out)
+    assert local_warm["engine"]["daemon"] is None
+    local_rate = local_warm["engine"]["cache_hits"] / local_warm["engine"]["passes_total"]
 
     for _ in range(2):
         assert main(["verify", "--all", "--daemon", "--cache-dir", str(tmp_path),
@@ -167,12 +167,12 @@ def test_warm_daemon_hit_rate_matches_warm_jsonl(daemon, tmp_path, capsys):
     assert daemon_warm["engine"]["daemon"] is not None
     daemon_rate = daemon_warm["engine"]["cache_hits"] / daemon_warm["engine"]["passes_total"]
 
-    assert jsonl_rate == 1.0               # the PR 1 baseline is fully warm
-    assert daemon_rate >= jsonl_rate       # the shared tier is no colder
-    # And identical verdicts on both tiers.
-    jsonl_verdicts = [(r["pass"], r["verified"]) for r in jsonl_warm["results"]]
+    assert local_rate == 1.0               # the in-process path is fully warm
+    assert daemon_rate >= local_rate       # the daemon is no colder
+    # And identical verdicts either way.
+    local_verdicts = [(r["pass"], r["verified"]) for r in local_warm["results"]]
     daemon_verdicts = [(r["pass"], r["verified"]) for r in daemon_warm["results"]]
-    assert jsonl_verdicts == daemon_verdicts
+    assert local_verdicts == daemon_verdicts
 
 
 def test_no_cache_never_goes_to_the_daemon(daemon, tmp_path, capsys):
@@ -193,9 +193,9 @@ def test_no_cache_never_goes_to_the_daemon(daemon, tmp_path, capsys):
 
 def test_rolling_restart_keeps_the_newer_state_file(tmp_path):
     """Closing an old daemon must not erase a newer daemon's discovery file."""
-    old_service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    old_service = VerificationService(cache_dir=tmp_path)
     old_server = ProofDaemon(old_service)
-    new_service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    new_service = VerificationService(cache_dir=tmp_path)
     new_server = ProofDaemon(new_service)   # overwrites daemon.json
     try:
         old_server.close()                  # must leave the new file alone
@@ -240,7 +240,7 @@ def test_sigterm_cleans_up_the_state_file(tmp_path):
 
 
 def test_shutdown_endpoint_stops_the_server(tmp_path):
-    service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    service = VerificationService(cache_dir=tmp_path)
     server = ProofDaemon(service)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)

@@ -148,7 +148,7 @@ def test_render_histogram_follows_the_prometheus_convention():
 
 @pytest.fixture
 def daemon(tmp_path):
-    service = VerificationService(cache_dir=tmp_path, backend="sqlite")
+    service = VerificationService(cache_dir=tmp_path)
     server = ProofDaemon(service)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
