@@ -56,10 +56,12 @@ from repro.verify.verifier import SubgoalOutcome, VerificationResult, verify_pas
 # are imported where they are used: a run served from the store needs
 # neither.
 
-#: Passes that need a coupling map to be instantiated (Table 2 suite).
+#: Passes that need a coupling map to be instantiated (Table 2 suite, plus
+#: the buggy routing variant of the Section 7.3 case study).
 COUPLING_PASSES = {
     "BasicSwap",
     "LookaheadSwap",
+    "BuggyLookaheadSwap",
     "SabreSwap",
     "CheckMap",
     "CheckCXDirection",

@@ -49,9 +49,8 @@ def fuzz_pass_kwargs(pass_class, coupling: Optional[CouplingMap]) -> Dict[str, o
     """Constructor kwargs for a fuzzed pass: the case's coupling map, if taken.
 
     Unlike ``engine.driver.default_pass_kwargs`` this keys off the
-    constructor signature rather than a fixed name list, so buggy
-    variants (``BuggyLookaheadSwap``) and extension passes that accept a
-    ``coupling`` keyword get the case's device too.
+    constructor signature rather than a fixed name list, so extension
+    passes that accept a ``coupling`` keyword get the case's device too.
     """
     if coupling is None:
         return {}

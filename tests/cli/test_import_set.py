@@ -1,7 +1,8 @@
-"""What a ``repro verify --all`` process imports, cold and warm.
+"""What a ``repro verify --all`` process imports, cold and warm, and what
+compiling a circuit imports.
 
-Each run is a fresh interpreter that calls ``repro.cli.main`` and then
-reports ``sorted(sys.modules)``.  The guard is on module sets, never on
+Each run is a fresh interpreter that calls ``repro.cli.main`` (or compiles)
+and then reports ``sorted(sys.modules)``.  The guard is on module sets, never on
 timings: a module on this list costs every user on every run.
 """
 
@@ -50,6 +51,25 @@ report = verify_passes([getattr(buggy, sys.argv[1])], cache_dir=sys.argv[2],
 print(json.dumps({"report": json.loads(to_json(report.results, stats=report.stats)),
                   "modules": sorted(sys.modules)}))
 """
+
+
+#: Compiles one suite circuit through both Figure 11 pipelines, importing
+#: what the ``compile`` benchmark imports.
+COMPILE_CHILD = """
+import json, sys
+from repro.bench.figure11 import default_device
+from repro.bench.qasmbench import qasmbench_suite
+from repro.transpiler.presets import baseline_pipeline, verified_pipeline
+suite = qasmbench_suite()
+device = default_device(suite)
+sizes = [factory(device).run(suite[0].circuit()).size()
+         for factory in (verified_pipeline, baseline_pipeline)]
+print(json.dumps({"sizes": sizes, "modules": sorted(sys.modules)}))
+"""
+
+#: Never needed to compile: the compiler runs the passes concretely and
+#: verifies nothing, and the DAG needs no graph library.
+NOT_COMPILE = ("networkx", "sqlite3", "repro.engine", "repro.verify.verifier")
 
 
 def _child(code, *args, src=SRC):
@@ -129,3 +149,10 @@ def test_warm_buggy_pass_rebuilds_its_counterexample_without_numpy(tmp_path):
     assert "repro.verify.counterexample" in warm["modules"]
     assert _loaded(warm["modules"], ("numpy", "repro.prover", "repro.smt")) == []
     assert _without_timings(warm["report"]) == _without_timings(cold["report"])
+
+
+def test_compile_loads_no_verify_engine_or_graph_library():
+    report = _child(COMPILE_CHILD)
+    assert all(size > 0 for size in report["sizes"])
+    assert "repro.dag" in report["modules"]
+    assert _loaded(report["modules"], NOT_COMPILE) == []

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.engine import ProofCache, WorkerPool, parallel_map, verify_passes
-from repro.engine.driver import payload_to_result, result_to_payload
+from repro.engine.driver import default_pass_kwargs, payload_to_result, result_to_payload
 from repro.passes import (
     BuggyOptimize1qGates,
     CXCancellation,
@@ -14,6 +14,7 @@ from repro.passes import (
     SwapCancellation,
     Width,
 )
+from repro.passes.buggy import BUGGY_PASSES
 from repro.verify.verifier import verify_pass
 
 SMALL_SUITE = [CXCancellation, Width, RemoveBarriers, Depth, SwapCancellation]
@@ -80,6 +81,18 @@ def test_failing_pass_round_trips_through_cache(tmp_path):
         assert warm_ce is not None
         assert warm_ce.kind == cold_ce.kind
         assert warm_ce.confirmed == cold_ce.confirmed
+
+
+@pytest.mark.parametrize("pass_class", BUGGY_PASSES, ids=lambda cls: cls.__name__)
+def test_every_buggy_pass_is_rejected_through_the_engine(pass_class, tmp_path):
+    """The default kwargs give each buggy pass what it needs to be built, so
+    the engine returns a rejected verdict instead of crashing."""
+    report = verify_passes([pass_class], cache_dir=tmp_path,
+                           pass_kwargs_fn=default_pass_kwargs)
+    (result,) = report.results
+    assert result.pass_name == pass_class.__name__
+    assert not result.verified
+    assert result.counterexample is not None and result.counterexample.confirmed
 
 
 def test_result_payload_round_trip():

@@ -37,7 +37,7 @@ def test_fuzz_pass_kwargs_detects_coupling_parameter():
 
 
 def test_fuzz_pass_kwargs_covers_buggy_routing_pass():
-    """BuggyLookaheadSwap is outside COUPLING_PASSES but takes a coupling."""
+    """The signature, not a name list, says the buggy routing pass takes a coupling."""
     device = linear_device(3)
     assert fuzz_pass_kwargs(BuggyLookaheadSwap, device) == {"coupling": device}
 

@@ -57,8 +57,7 @@ def test_dependency_walk_imports_nothing():
     """Recording deps reads sources; it must not execute a single module.
 
     Run in a fresh interpreter: the closure of every pass reaches
-    ``repro.dag`` (and, through it, networkx), which nothing in the verify
-    path imports.
+    ``repro.dag``, which nothing in the verify path imports.
     """
     child = (
         "import sys\n"
